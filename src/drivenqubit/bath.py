@@ -3,6 +3,9 @@
 Natural units hbar = k_B = 1 with the static qubit splitting Delta as the
 frequency unit.  Temperatures are therefore dimensionless (T = 1 means
 k_B T = hbar*Delta) and beta = 1/T.
+
+BathSpec parameters and the frequencies given to power_spectrum may be
+numpy arrays of parameter points; they broadcast like numpy operands.
 """
 
 from __future__ import annotations
@@ -11,9 +14,25 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 
 class RegimeWarning(UserWarning):
     """Parameters leave the regime in which the closed-form rates hold."""
+
+
+def _warn_points(mask, message: str, *params):
+    """One RegimeWarning for all points where mask holds, with their count.
+
+    The points are the broadcast of mask with the parameter arrays params.
+    """
+    shape = np.broadcast_shapes(np.shape(mask), *map(np.shape, params))
+    hits = np.count_nonzero(np.broadcast_to(mask, shape))
+    if hits:
+        points = math.prod(shape)
+        if points > 1:
+            message += f" ({hits} of {points} points)"
+        warnings.warn(message, RegimeWarning, stacklevel=4)
 
 
 @dataclass(frozen=True)
@@ -30,34 +49,28 @@ class BathSpec:
     temperature: float = 0.0
 
     def __post_init__(self):
-        if self.alpha < 0.0:
+        params = (self.alpha, self.omega_c, self.temperature)
+        if np.any(np.less(self.alpha, 0.0)):
             raise ValueError("alpha must be non-negative")
-        if self.omega_c <= 0.0:
+        if np.any(np.less_equal(self.omega_c, 0.0)):
             raise ValueError("omega_c must be positive")
-        if self.temperature < 0.0:
+        if np.any(np.less(self.temperature, 0.0)):
             raise ValueError("temperature must be non-negative")
-        if self.alpha * math.log(max(self.omega_c, 1.0)) > 0.1:
-            warnings.warn(
-                "weak-coupling condition alpha*ln(omega_c) << 1 violated; "
-                "Markovian rates are unreliable here", RegimeWarning,
-                stacklevel=2)
-        if self.omega_c <= 1.0:
-            warnings.warn(
-                "cutoff omega_c at or below the qubit splitting; the "
-                "high-cutoff master equation assumes omega_c >> Delta",
-                RegimeWarning, stacklevel=2)
+        _warn_points(
+            np.multiply(self.alpha, np.log(np.maximum(self.omega_c, 1.0)))
+            > 0.1,
+            "weak-coupling condition alpha*ln(omega_c) << 1 violated; "
+            "Markovian rates are unreliable here", *params)
+        _warn_points(
+            np.less_equal(self.omega_c, 1.0),
+            "cutoff omega_c at or below the qubit splitting; the "
+            "high-cutoff master equation assumes omega_c >> Delta", *params)
 
     @property
     def beta(self) -> float:
         """Inverse temperature; inf at T = 0."""
-        return math.inf if self.temperature == 0.0 else 1.0 / self.temperature
-
-
-def _coth(x: float) -> float:
-    # series branch avoids 1/tanh blowup near x = 0
-    if x < 1e-6:
-        return 1.0 / x + x / 3.0
-    return 1.0 / math.tanh(x)
+        with np.errstate(divide="ignore"):
+            return np.divide(1.0, self.temperature)[()]
 
 
 def spectral_density(bath: BathSpec, omega: float) -> float:
@@ -66,18 +79,23 @@ def spectral_density(bath: BathSpec, omega: float) -> float:
         raise ValueError("spectral density is defined for omega >= 0")
     return 2.0 * math.pi * bath.alpha * omega * math.exp(-omega / bath.omega_c)
 
-def power_spectrum(bath: BathSpec, omega: float) -> float:
+
+def power_spectrum(bath: BathSpec, omega):
     """Bath-fluctuation power spectrum S(w) = 2*pi*alpha*w*coth(w/2T).
 
     No exponential cutoff here: the cutoff enters the driven rate sums
     explicitly at the harmonic frequencies.  Limits: S -> 4*pi*alpha*T as
-    w -> 0 (T > 0) and S = 2*pi*alpha*w at T = 0.
+    w -> 0 (T > 0) and S = 2*pi*alpha*w at T = 0.  omega may be an array;
+    the result has the broadcast shape of omega and the bath parameters.
     """
-    if omega < 0.0:
+    omega = np.asarray(omega, dtype=float)
+    if np.any(omega < 0.0):
         raise ValueError("power spectrum is evaluated at omega >= 0")
-    if bath.temperature == 0.0:
-        return 2.0 * math.pi * bath.alpha * omega
-    if omega == 0.0:
-        return 4.0 * math.pi * bath.alpha * bath.temperature
-    return (2.0 * math.pi * bath.alpha * omega
-            * _coth(0.5 * omega / bath.temperature))
+    scale = 2.0 * math.pi * bath.alpha
+    # T = 0 gives x = inf and coth = 1; w = 0 is taken by the last where
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = 0.5 * omega / bath.temperature
+        # series branch avoids 1/tanh blowup near x = 0
+        coth = np.where(x < 1e-6, 1.0 / x + x / 3.0, 1.0 / np.tanh(x))
+        return np.where(omega == 0.0, 2.0 * scale * bath.temperature,
+                        scale * omega * coth)[()]

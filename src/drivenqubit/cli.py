@@ -8,17 +8,19 @@ Subcommands
             parameter set (alpha = 0.01, omega_c = 500, x = 2.4)
 
 Configuration may come from a flat "key = value" file (--config); any
-flag given on the command line wins over the file.  All CSV output is
-deterministic: '#'-prefixed comments carry the resolved configuration,
-floats are written with 9 significant digits, Unix line endings.
+flag given on the command line wins over the file, and the file wins over
+the defaults (fig1 has its own defaults for temperature and amp_ratio).
+scan and fig1 evaluate their whole parameter grid as arrays, one harmonic
+sum per output file; each RegimeWarning is raised once per grid with the
+number of points that tripped it.  All CSV output is deterministic:
+'#'-prefixed comments carry the resolved configuration, floats are written
+with 9 significant digits, Unix line endings.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -60,9 +62,7 @@ _CONFIG_PARSERS = {
     "omega": float,
     "n_max": int,
     "tol": float,
-    "seed": int,
     "out": str,
-    "workers": int,
     "s0": str,
     "t_max": float,
     "dt_out": float,
@@ -93,25 +93,30 @@ def _add_common(parser: argparse.ArgumentParser):
                         help="harmonic cap for the DD series (default 64)")
     parser.add_argument("--tol", type=float, default=None,
                         help="integrator tolerance (default 1e-9)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="RNG seed (default 0)")
     parser.add_argument("--out", default=None, help="output CSV path")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="concurrent sweep workers (default 1)")
 
 
 _DEFAULTS = {
     "alpha": 0.01, "omega_c": 500.0, "temperature": [1.0], "drive": NONE,
-    "amp_ratio": 0.0, "omega": 100.0, "n_max": 64, "tol": 1e-9, "seed": 0,
-    "out": None, "workers": 1, "s0": "1,0,0", "t_max": 100.0, "dt_out": 0.1,
+    "amp_ratio": 0.0, "omega": 100.0, "n_max": 64, "tol": 1e-9,
+    "out": None, "s0": "1,0,0", "t_max": 100.0, "dt_out": 0.1,
     "sweep": None, "min": None, "max": None, "points": None,
     "spacing": "linear",
 }
 
+FIG1_TEMPERATURES = [0.1, 1.0, 10.0]
+FIG1_OMEGA_RANGE = (10.0, 1.0e4)
+FIG1_POINTS = 200
+
+# defaults of one subcommand that differ from _DEFAULTS
+_COMMAND_DEFAULTS = {
+    "fig1": {"temperature": FIG1_TEMPERATURES, "amp_ratio": 2.4},
+}
+
 
 def _resolve(args: argparse.Namespace) -> dict:
-    """Merge defaults < config file < explicit flags."""
-    cfg = dict(_DEFAULTS)
+    """Merge defaults < subcommand defaults < config file < explicit flags."""
+    cfg = {**_DEFAULTS, **_COMMAND_DEFAULTS.get(args.command, {})}
     if getattr(args, "config", None):
         for key, raw in _read_config(args.config).items():
             if key not in _CONFIG_PARSERS:
@@ -152,8 +157,7 @@ def _write_csv(path, comments: list[str], header: list[str],
         for line in comments:
             out.write(line + "\n")
         out.write(",".join(header) + "\n")
-        for row in rows:
-            out.write(",".join(_fmt(v) for v in row) + "\n")
+        np.savetxt(out, rows, fmt=FLOAT_FMT, delimiter=",")
     finally:
         if out is not sys.stdout:
             out.close()
@@ -208,31 +212,12 @@ def _sweep_values(cfg: dict) -> np.ndarray:
     return np.linspace(cfg["min"], cfg["max"], cfg["points"])
 
 
-def _scan_point(cfg: dict, bath: BathSpec, param: str, value: float):
-    local = dict(cfg)
-    if param == "temperature":
-        bath = BathSpec(cfg["alpha"], cfg["omega_c"], value)
-    elif param == "alpha":
-        bath = BathSpec(value, cfg["omega_c"], bath.temperature)
-    elif param in ("omega", "amp_ratio"):
-        local[param] = value
-    else:
-        raise ValueError(f"cannot sweep parameter {param!r}")
-    drive = _drive_from(local)
-    gamma_eff = effective_rate(bath, drive, local["n_max"])
-    gamma, _ = trace_bound(gamma_eff)
-    row = [value, effective_splitting(drive), gamma_eff, gamma]
-    if drive.kind == DD:
-        row.append(stabilization_eta(bath, drive, local["n_max"]))
-    elif drive.kind == CDT:
-        row.append(stabilization_eta_cdt(bath, drive))
-    return row
-
-
 def cmd_scan(args) -> int:
     cfg = _resolve(args)
     values = _sweep_values(cfg)
     param = cfg["sweep"].replace("-", "_")
+    if param not in ("omega", "amp_ratio", "temperature", "alpha"):
+        raise ValueError(f"cannot sweep parameter {param!r}")
 
     header = [param, "delta_eff", "gamma_eff", "gamma"]
     if cfg["drive"] == DD:
@@ -244,12 +229,21 @@ def cmd_scan(args) -> int:
 
     temperatures = [None] if param == "temperature" else cfg["temperature"]
     for temperature in temperatures:
-        bath = BathSpec(cfg["alpha"], cfg["omega_c"],
-                        temperature if temperature is not None
-                        else cfg["temperature"][0])
-        with ThreadPoolExecutor(max_workers=max(1, cfg["workers"])) as pool:
-            rows = list(pool.map(
-                lambda v: _scan_point(cfg, bath, param, v), values))
+        # the swept parameter becomes an array of points; the bath and
+        # drive checks then run once over the whole grid
+        grid = dict(cfg, temperature=temperature)
+        grid[param] = values
+        bath = BathSpec(grid["alpha"], grid["omega_c"], grid["temperature"])
+        drive = _drive_from(grid)
+        gamma_eff = effective_rate(bath, drive, cfg["n_max"])
+        gamma, _ = trace_bound(gamma_eff)
+        columns = [values, effective_splitting(drive), gamma_eff, gamma]
+        if drive.kind == DD:
+            columns.append(stabilization_eta(bath, drive, cfg["n_max"]))
+        elif drive.kind == CDT:
+            columns.append(stabilization_eta_cdt(bath, drive))
+        rows = np.column_stack(np.broadcast_arrays(*columns))
+
         path = cfg["out"]
         if temperature is not None and len(temperatures) > 1 and path:
             stem, dot, ext = path.rpartition(".")
@@ -279,16 +273,9 @@ def cmd_evolve(args) -> int:
         _write_csv(cfg["out"], comments, header, [])
         print(f"integration diverged: {exc}", file=sys.stderr)
         return 1
-    rows = [[t, s[0], s[1], s[2], ent, rate]
-            for t, s, ent, rate in zip(traj.t, traj.s, traj.entropy,
-                                       traj.entropy_rate)]
+    rows = np.column_stack([traj.t, traj.s, traj.entropy, traj.entropy_rate])
     _write_csv(cfg["out"], _config_comments(cfg), header, rows)
     return 0
-
-
-FIG1_TEMPERATURES = [0.1, 1.0, 10.0]
-FIG1_OMEGA_RANGE = (10.0, 1.0e4)
-FIG1_POINTS = 200
 
 
 def cmd_fig1(args) -> int:
@@ -297,28 +284,18 @@ def cmd_fig1(args) -> int:
     alpha = 0.01, omega_c = 500, x = 2.4, Omega log-spaced over
     [10, 1e4] with 200 points; one eta column per temperature.  The
     temperature set {0.1, 1, 10} is a documented default (overridable
-    with --temperature), not a literature value.
+    with --temperature or the config file), not a literature value.
     """
     cfg = _resolve(args)
-    if getattr(args, "temperature", None) is None and "temperature" not in (
-            _read_config(args.config) if getattr(args, "config", None)
-            else {}):
-        cfg["temperature"] = list(FIG1_TEMPERATURES)
-    if getattr(args, "amp_ratio", None) is None:
-        cfg["amp_ratio"] = 2.4
     cfg["drive"] = DD
 
     omegas = np.geomspace(*FIG1_OMEGA_RANGE, FIG1_POINTS)
     temps = cfg["temperature"]
-    baths = [BathSpec(cfg["alpha"], cfg["omega_c"], t) for t in temps]
-
-    def point(omega: float):
-        drive = Drive.from_ratio(DD, cfg["amp_ratio"], omega)
-        return [omega] + [stabilization_eta(b, drive, cfg["n_max"])
-                          for b in baths]
-
-    with ThreadPoolExecutor(max_workers=max(1, cfg["workers"])) as pool:
-        rows = list(pool.map(point, omegas))
+    # (omega, temperature) grid in one call: omegas down, temperatures across
+    bath = BathSpec(cfg["alpha"], cfg["omega_c"], np.array(temps))
+    drive = Drive.from_ratio(DD, cfg["amp_ratio"], omegas[:, None])
+    rows = np.column_stack(
+        [omegas, stabilization_eta(bath, drive, cfg["n_max"])])
 
     header = ["omega"] + [f"eta_T{t:g}" for t in temps]
     comments = _config_comments(cfg)

@@ -3,16 +3,21 @@
 All rates are in units of Delta.  The trace of the Bloch decay matrix,
 gamma = 2*Gamma_eff, bounds every decoherence rate from above, and
 Gamma_av = gamma/3 is the entropy production averaged over pure states.
+
+Every function here also accepts drive and bath parameters that are numpy
+arrays of parameter points and then returns an array of the broadcast
+shape; the DD rate and eta of a whole grid come from one harmonic sum.
 """
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass
 
-from .bath import BathSpec, RegimeWarning, power_spectrum
-from .driving import CDT, DD, NONE, Drive, dd_harmonic_sum, effective_splitting
+import numpy as np
+
+from .bath import BathSpec, _warn_points, power_spectrum
+from .driving import (CDT, DD, NONE, Drive, _require_kind, dd_harmonic_sum,
+                      effective_splitting)
 
 
 @dataclass(frozen=True)
@@ -39,7 +44,7 @@ def rate_cdt(drive: Drive, bath: BathSpec, delta: float = 1.0) -> float:
     Finite limit 2*pi*alpha*T when Delta_eff sits at a J0 zero (zero at
     T = 0).  Even in Delta_eff, so it is continuous across Bessel zeros.
     """
-    _require(drive, CDT)
+    _require_kind(drive, CDT)
     return 0.5 * power_spectrum(bath, abs(effective_splitting(drive, delta)))
 
 
@@ -54,13 +59,13 @@ def rate_dd(drive: Drive, bath: BathSpec, n_max: int = 64,
     which equals the sigma_x weight of the effective coupling operator;
     both are evaluated through the same harmonic sum.
     """
-    _require(drive, DD)
+    _require_kind(drive, DD)
     return 0.5 * dd_harmonic_sum(drive, bath, n_max, delta)
 
 
 def trace_bound(rate_eff: float) -> tuple[float, float]:
     """(gamma, Gamma_av) = (2*Gamma_eff, 2*Gamma_eff/3)."""
-    if rate_eff < 0.0:
+    if np.any(np.less(rate_eff, 0.0)):
         raise ValueError("rates are non-negative")
     gamma = 2.0 * rate_eff
     return gamma, gamma / 3.0
@@ -77,26 +82,24 @@ def stabilization_eta(bath: BathSpec, drive: Drive, n_max: int = 64,
     vanishes, which needs T = 0, x at a J0 zero and all harmonics beyond
     the cutoff.
     """
-    gamma_dd = 2.0 * rate_dd(drive, bath, n_max, delta)
-    gamma_undriven = rate_static(bath, delta)
-    if gamma_dd == 0.0:
-        warnings.warn("driven decoherence rate is exactly zero; "
-                      "stabilization factor is unbounded", RegimeWarning,
-                      stacklevel=2)
-        return math.inf
-    return 0.5 * gamma_undriven / gamma_dd
+    return _eta(rate_static(bath, delta), rate_dd(drive, bath, n_max, delta))
 
 
 def stabilization_eta_cdt(bath: BathSpec, drive: Drive,
                           delta: float = 1.0) -> float:
     """CDT analogue of the stabilization factor, (Gamma/2)/gamma_CDT."""
-    gamma_cdt = 2.0 * rate_cdt(drive, bath, delta)
-    if gamma_cdt == 0.0:
-        warnings.warn("driven decoherence rate is exactly zero; "
-                      "stabilization factor is unbounded", RegimeWarning,
-                      stacklevel=2)
-        return math.inf
-    return 0.5 * rate_static(bath, delta) / gamma_cdt
+    return _eta(rate_static(bath, delta), rate_cdt(drive, bath, delta))
+
+
+def _eta(rate_undriven, rate_driven):
+    """(Gamma/2)/gamma_driven; inf, with one warning, where it vanishes."""
+    gamma_driven = 2.0 * rate_driven
+    unbounded = gamma_driven == 0.0
+    _warn_points(unbounded, "driven decoherence rate is exactly zero; "
+                 "stabilization factor is unbounded")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(unbounded, np.inf,
+                        0.5 * rate_undriven / gamma_driven)[()]
 
 
 def effective_rate(bath: BathSpec, drive: Drive, n_max: int = 64,
@@ -121,8 +124,3 @@ def build_report(bath: BathSpec, drive: Drive, n_max: int = 64,
         eta_cdt = stabilization_eta_cdt(bath, drive, delta)
     return RateReport(drive.kind, effective_splitting(drive, delta),
                       gamma_eff, gamma, gamma_avg, eta, eta_cdt)
-
-
-def _require(drive: Drive, kind: str):
-    if drive.kind != kind:
-        raise ValueError(f"expected a {kind!r} drive, got {drive.kind!r}")

@@ -7,6 +7,7 @@ with the package internals it checks.
 
 import math
 
+import mpmath as mp
 import numpy as np
 
 ID2 = np.eye(2, dtype=complex)
@@ -43,3 +44,22 @@ def coth_exp(x):
 def pauli_coeffs(m):
     """Pauli decomposition of a 2x2 matrix by explicit traces."""
     return tuple(np.trace(p @ m) / 2.0 for p in (ID2, SX, SY, SZ))
+
+
+def rate_dd_series(x, omega, alpha, omega_c, temperature):
+    """Gamma_DD = S(Delta)/2 * J0^2 + sum_n J_n^2 S(n*Omega) e^(-n*Omega/wc),
+    summed term by term in 30-digit mpmath with S(w) = 2*pi*alpha*w*coth(w/2T)
+    (T > 0) over n <= 120, where J_n(x)^2 < 1e-300 for x <= 5.
+    """
+    with mp.workdps(30):
+        x, omega = mp.mpf(x), mp.mpf(omega)
+        alpha, temperature = mp.mpf(alpha), mp.mpf(temperature)
+
+        def spectrum(w):
+            return 2 * mp.pi * alpha * w * mp.coth(w / (2 * temperature))
+
+        total = mp.besselj(0, x) ** 2 * spectrum(mp.mpf(1))
+        for n in range(1, 121):
+            total += (2 * mp.besselj(n, x) ** 2 * spectrum(n * omega)
+                      * mp.exp(-n * omega / omega_c))
+        return float(total / 2)

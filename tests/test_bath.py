@@ -26,6 +26,8 @@ class TestBathSpec:
     def test_beta_sentinel_at_zero_temperature(self):
         assert BathSpec(0.01, 500.0, 0.0).beta == math.inf
         assert BathSpec(0.01, 500.0, 2.0).beta == 0.5
+        betas = BathSpec(0.01, 500.0, np.array([0.0, 2.0])).beta
+        assert betas.tolist() == [math.inf, 0.5]
 
     def test_strong_coupling_warning(self):
         with pytest.warns(RegimeWarning):
@@ -81,6 +83,16 @@ class TestPowerSpectrum:
         bath = make_bath(alpha=0.01, temperature=10.0)
         assert power_spectrum(bath, 0.0) == pytest.approx(
             4 * math.pi * 0.01 * 10.0, rel=1e-15)
+
+    def test_array_of_points_keeps_every_limit(self):
+        # rows T = 0 and T = 2; columns w = 0, w -> 0 (series branch), w = 1
+        bath = make_bath(temperature=np.array([[0.0], [2.0]]))
+        got = power_spectrum(bath, np.array([0.0, 1e-9, 1.0]))
+        scale = 2 * math.pi * bath.alpha
+        expected = [[0.0, scale * 1e-9, scale],
+                    [2 * scale * 2.0, 2 * scale * 2.0, scale * coth_exp(0.25)]]
+        assert got.shape == (2, 3)
+        assert got == pytest.approx(np.array(expected), rel=1e-14, abs=0.0)
 
     def test_generic_point_against_exp_oracle(self):
         bath = make_bath(alpha=0.01, temperature=1.0)

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from drivenqubit import RegimeWarning
 from drivenqubit.cli import main
+
+from _oracles import bessel_series, coth_exp, rate_dd_series
 
 
 def read_csv(path):
@@ -83,6 +86,59 @@ class TestScan:
             _, _, rows = read_csv(tmp_path / suffix)
             assert rows.shape[0] == 3
 
+    @pytest.mark.parametrize("drive", ["none", "cdt", "dd"])
+    @pytest.mark.parametrize("sweep, lo, hi", [("temperature", 0.2, 10.0),
+                                               ("alpha", 0.001, 0.02)])
+    def test_bath_sweeps_match_closed_forms(self, tmp_path, drive, sweep,
+                                            lo, hi):
+        out = tmp_path / "bath.csv"
+        x, omega = 1.0, 700.0
+        assert main(["scan", "--sweep", sweep, "--min", str(lo), "--max",
+                     str(hi), "--points", "12", "--drive", drive,
+                     "--amp-ratio", str(x), "--omega", str(omega),
+                     "--temperature", "1", "--alpha", "0.01",
+                     "--out", str(out)]) == 0
+        _, header, rows = read_csv(out)
+        assert rows.shape == (12, 4 if drive == "none" else 5)
+        assert np.allclose(rows[:, 0], np.linspace(lo, hi, 12), rtol=1e-8)
+        for row in rows:
+            alpha = row[0] if sweep == "alpha" else 0.01
+            temperature = row[0] if sweep == "temperature" else 1.0
+            delta_eff = bessel_series(0, x) if drive == "cdt" else 1.0
+            if drive == "dd":
+                gamma_eff = rate_dd_series(x, omega, alpha, 500.0,
+                                           temperature)
+            else:
+                gamma_eff = (math.pi * alpha * abs(delta_eff)
+                             * coth_exp(abs(delta_eff) / (2 * temperature)))
+            expected = [delta_eff, gamma_eff, 2 * gamma_eff]
+            if drive != "none":
+                gamma = math.pi * alpha * coth_exp(1 / (2 * temperature))
+                expected.append(gamma / (4 * gamma_eff))
+            assert row[1:] == pytest.approx(expected, rel=1e-8)
+
+    def test_low_frequency_points_warn_once_with_count(self, tmp_path):
+        with pytest.warns(RegimeWarning) as record:
+            assert main(["scan", "--sweep", "omega", "--min", "2", "--max",
+                         "20", "--points", "19", "--drive", "dd",
+                         "--amp-ratio", "2.4",
+                         "--out", str(tmp_path / "low.csv")]) == 0
+        messages = [str(w.message) for w in record
+                    if issubclass(w.category, RegimeWarning)]
+        assert len(messages) == 1
+        assert "Omega >= 10" in messages[0]
+        assert "(8 of 19 points)" in messages[0]
+
+    @pytest.mark.parametrize("sweep, drive, message", [
+        ("omega", "dd", "omega > 0"), ("amp_ratio", "cdt", "amplitude"),
+        ("temperature", "none", "temperature"), ("alpha", "dd", "alpha")])
+    def test_invalid_grid_point_is_usage_error(self, capsys, sweep, drive,
+                                               message):
+        # the grid -1, 0, 1 starts outside the valid range
+        assert main(["scan", "--sweep", sweep, "--min", "-1", "--max", "1",
+                     "--points", "3", "--drive", drive]) == 2
+        assert message in capsys.readouterr().err
+
     def test_log_spacing_requires_positive_min(self, capsys):
         assert main(["scan", "--sweep", "omega", "--min", "0", "--max", "10",
                      "--points", "3", "--spacing", "log"]) == 2
@@ -121,6 +177,17 @@ class TestEvolve:
                      "--out", str(out)]) == 0
         _, _, rows = read_csv(out)
         assert np.min(rows[:, 1]) > 1.0 - 1e-3
+
+    def test_divergence_message_shows_excess_over_one(self, tmp_path,
+                                                       capsys):
+        # the default s0 = (1, 0, 0) sits on the Bloch sphere; the CDT run
+        # pushes |s| above 1 + 100*tol within the first drive period
+        assert main(["evolve", "--drive", "cdt", "--amp-ratio", "2.4",
+                     "--omega", "100", "--t-max", "0.1",
+                     "--out", str(tmp_path / "d.csv")]) == 1
+        err = capsys.readouterr().err
+        excess = float(err.split("|s| reached 1 + ")[1].split(",")[0])
+        assert excess > 100 * 1e-9
 
     def test_bad_s0_is_usage_error(self):
         assert main(["evolve", "--s0", "1,0"]) == 2
@@ -180,8 +247,22 @@ class TestConfigFile:
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("omega_r = 3\n")
-        assert main(["rates", "--config", str(cfg)]) == 2
+        for line in ("omega_r = 3", "seed = 0", "workers = 2"):
+            cfg.write_text(line + "\n")
+            assert main(["rates", "--config", str(cfg)]) == 2
+
+    def test_fig1_defaults_yield_to_config_and_flags(self, tmp_path):
+        cfg = tmp_path / "fig1.cfg"
+        cfg.write_text("amp_ratio = 1.0\ntemperature = 2\n")
+        out = tmp_path / "a.csv"
+        assert main(["fig1", "--config", str(cfg), "--out", str(out)]) == 0
+        comments, header, _ = read_csv(out)
+        assert "# amp_ratio = 1.0" in comments
+        assert header == ["omega", "eta_T2"]
+        assert main(["fig1", "--config", str(cfg), "--amp-ratio", "3.0",
+                     "--out", str(out)]) == 0
+        comments, _, _ = read_csv(out)
+        assert "# amp_ratio = 3.0" in comments
 
     def test_float_format_nine_significant_digits(self, tmp_path):
         out = tmp_path / "fmt.csv"

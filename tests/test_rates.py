@@ -9,9 +9,10 @@ from drivenqubit import (BathSpec, Drive, bessel_j, build_report,
                          stabilization_eta, stabilization_eta_cdt,
                          trace_bound)
 
-from _oracles import bessel_series, coth_exp
+from _oracles import bessel_series, coth_exp, rate_dd_series
 
 J0_FIRST_ZERO = 2.404825557695773
+J1_FIRST_ZERO = 3.831705970207512
 
 
 def make_bath(alpha=0.01, omega_c=500.0, temperature=1.0):
@@ -127,6 +128,14 @@ class TestRateDd:
         with pytest.raises(ValueError):
             rate_dd(Drive.dd(1.0, 100.0), make_bath(), n_max=0)
 
+    def test_harmonics_beyond_a_bessel_zero_count(self):
+        # J1(x) = 0 here, so the n = 1 term vanishes; the n >= 2 terms
+        # still carry almost all of the rate
+        d = Drive.from_ratio("dd", J1_FIRST_ZERO, 100.0)
+        assert rate_dd(d, make_bath()) == pytest.approx(
+            rate_dd_series(J1_FIRST_ZERO, 100.0, 0.01, 500.0, 1.0),
+            rel=1e-12)
+
 
 class TestTraceBound:
 
@@ -155,6 +164,11 @@ class TestStabilizationEta:
         bath = make_bath()
         assert stabilization_eta(bath, Drive.dd(0.0, 100.0)) == \
             pytest.approx(0.25, rel=1e-14)
+
+    def test_quarter_exact_on_a_grid(self):
+        bath = BathSpec(0.01, 500.0, np.array([0.0, 0.1, 1.0, 10.0]))
+        d = Drive.from_ratio("dd", 0.0, np.array([[10.0], [1.0e4]]))
+        assert np.all(stabilization_eta(bath, d) == 0.25)
 
     def test_large_above_cutoff_low_temperature(self):
         bath = make_bath(temperature=0.1)
