@@ -240,17 +240,12 @@ def numeric_q_oracle(drive: Drive, bath: BathSpec, grid_t: int = 64,
               for p in PAULIS]
     harmonics = [np.fft.fft2(c) / (n1 * n2) for c in coeffs]
 
-    n_idx = np.rint(np.fft.fftfreq(n1) * n1).astype(int)
-    m_idx = np.rint(np.fft.fftfreq(n2) * n2).astype(int)
-    kernel = np.empty((n1, n2))
-    for a, n in enumerate(n_idx):
-        for b, m in enumerate(m_idx):
-            if n == 0:
-                kernel[a, b] = 0.5 * power_spectrum(bath, abs(m * omega2))
-            else:
-                w_n = abs(n) * drive.omega
-                kernel[a, b] = (0.5 * power_spectrum(bath, w_n)
-                                * math.exp(-w_n / bath.omega_c))
+    n_abs = np.abs(np.rint(np.fft.fftfreq(n1) * n1))[:, None]
+    m_abs = np.abs(np.rint(np.fft.fftfreq(n2) * n2))[None, :]
+    harmonic = n_abs != 0
+    w = np.where(harmonic, n_abs * drive.omega, m_abs * abs(omega2))
+    kernel = (0.5 * power_spectrum(bath, w)
+              * np.exp(np.where(harmonic, -w / bath.omega_c, 0.0)))
 
     q = [float(np.real(np.sum(h * kernel))) for h in harmonics]
     scale = max(abs(q[1]), 1.0)

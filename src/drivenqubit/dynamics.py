@@ -5,6 +5,11 @@ about z at Delta, plus the instantaneous drive rotation) with the
 dissipative diagonal diag(0, Gamma_eff, Gamma_eff) of the sigma_x
 double-commutator; the inhomogeneity b = (0, 0, -pi*alpha*Delta) is not
 modified by the driving.  tr M = 2*Gamma_eff at all times.
+
+M(t) repeats with the drive period T = 2*pi/Omega, so evolve integrates
+the affine propagator over one period only and reaches every later
+sample through integer powers of it; an undriven run needs no solver at
+all, only the matrix exponential of the constant generator.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from .bath import BathSpec, RegimeWarning
 from .driving import CDT, DD, Drive
@@ -93,14 +99,70 @@ def assemble_generator(bath: BathSpec, drive: Drive, t: float,
     return BlochGenerator(_generator_matrix(drive, gamma_eff, t, delta), b)
 
 
+def _augmented(m: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A with d/dt (s, 1) = A (s, 1) for ds/dt = -M s + b."""
+    a = np.zeros((4, 4))
+    a[:3, :3] = -m
+    a[:3, 3] = b
+    return a
+
+
+def _apply_powers(step: np.ndarray, n: np.ndarray,
+                  v0: np.ndarray) -> np.ndarray:
+    """Columns step^n[k] @ v0, shape (4, len(n)), by binary powering.
+
+    One masked batch matvec per bit of max(n): the squares step^(2^j)
+    commute, so each column takes them in any order, and the memory is
+    that of the columns, not of max(n).
+    """
+    v = np.repeat(v0[:, None], len(n), axis=1)
+    while True:
+        v = np.where(n & 1, step @ v, v)
+        n = n >> 1
+        if not n.any():
+            return v
+        step = step @ step
+
+
+def _outside_fixed_point(step: np.ndarray, gamma_eff: float,
+                         b: np.ndarray) -> str:
+    """Clause naming the fixed point of (s, 1) -> step (s, 1) if |s*| > 1.
+
+    The run iterates this affine map, so its fixed point s*, the solution
+    of (I - step_3x3) s* = step[:3, 3], is where the samples settle.
+    Empty when s* lies in the Bloch ball or is not unique.
+    """
+    try:
+        fixed = np.linalg.solve(np.eye(3) - step[:3, :3], step[:3, 3])
+    except np.linalg.LinAlgError:
+        return ""
+    radius = float(np.linalg.norm(fixed))
+    if radius <= 1.0:
+        return ""
+    return (f"; the run's fixed point s* = ({fixed[0]:.3g}, {fixed[1]:.3g}, "
+            f"{fixed[2]:.3g}) lies outside the Bloch ball, |s*| = "
+            f"{radius:.3f}: the relaxation Gamma_eff = {gamma_eff:.3e} is "
+            f"too weak for the inhomogeneity |b| = "
+            f"{float(np.linalg.norm(b)):.3e}")
+
+
 def evolve(bath: BathSpec, drive: Drive, s0, t_max: float, dt_out: float,
            tol: float = 1e-9, n_max: int = 64,
            delta: float = 1.0) -> Trajectory:
-    """Integrate the Bloch equation with an adaptive embedded RK pair.
+    """Sample the Bloch trajectory every dt_out through the one-period map.
 
-    The full time-dependent coherent block is integrated (no rotating
-    frame), so the high-frequency approximation enters only through
-    Gamma_eff.  Output is sampled every dt_out by dense interpolation.
+    In augmented form d/dt (s, 1) = A(t) (s, 1) with A(t) = A0 +
+    cos(Omega t) A1.  A is periodic with the drive period T = 2*pi/Omega,
+    so its propagator factors as Phi(n*T + tau) = Phi(tau) Phi(T)^n
+    (Floquet; Grifoni & Hanggi, Phys. Rep. 304, 229 (1998)).  Phi is integrated once, over [0, T] or over [0, t_max]
+    when t_max < T, by DOP853 at rtol = atol = tol/10, and read at the
+    drive phases tau of the samples; Phi(T)^n (s0, 1) comes from binary
+    powering, so the cost does not grow with t_max / T.  An undriven run
+    calls no solver: sample k is expm(A0*dt_out)^k (s0, 1).
+
+    The full time-dependent coherent block is kept (no rotating frame),
+    so the high-frequency approximation enters only through Gamma_eff.
+    A sample with |s| > 1 + 100*tol raises IntegrationDivergedError.
     """
     if isinstance(s0, BlochState):
         s0 = s0.vec
@@ -113,32 +175,53 @@ def evolve(bath: BathSpec, drive: Drive, s0, t_max: float, dt_out: float,
         raise ValueError("tol must lie in [1e-12, 1e-4]")
 
     gamma_eff, b = _drive_pieces(bath, drive, n_max, delta)
-
-    def rhs(t, s):
-        return -_generator_matrix(drive, gamma_eff, t, delta) @ s + b
+    a0 = _augmented(_generator_matrix(Drive.none(), gamma_eff, 0.0, delta), b)
+    a1 = _augmented(_generator_matrix(drive, gamma_eff, 0.0, delta), b) - a0
 
     t_eval = np.arange(0.0, t_max + 0.5 * dt_out, dt_out)
     t_eval = t_eval[t_eval <= t_max]
-    # safety factor 10 keeps the accumulated drift within ~10*tol over
-    # hundreds of precession periods, not just the per-step error
-    sol = solve_ivp(rhs, (0.0, t_max), s0, method="DOP853",
-                    rtol=0.1 * tol, atol=0.1 * tol, t_eval=t_eval,
-                    dense_output=False)
-    if not sol.success:
-        raise IntegrationDivergedError(sol.message)
-    s = sol.y.T
+    v0 = np.append(s0, 1.0)
+    driven = a1.any()
+    if not driven:
+        step = expm(a0 * dt_out)
+        s = _apply_powers(step, np.arange(len(t_eval)), v0)[:3].T
+    else:
+        omega, period = drive.omega, drive.period
+        span = min(period, t_max)
+        n = np.floor(t_eval / period).astype(np.int64)
+        # t - n*T may round a hair outside [0, span]
+        tau = np.clip(t_eval - n * period, 0.0, span)
+        phases, which = np.unique(np.append(tau, span), return_inverse=True)
+
+        def rhs(t, phi):
+            return ((a0 + math.cos(omega * t) * a1)
+                    @ phi.reshape(4, 4)).ravel()
+
+        # safety factor 10 keeps the drift of Phi(T)^n within ~10*tol over
+        # hundreds of periods, not just the per-step error
+        sol = solve_ivp(rhs, (0.0, span), np.eye(4).ravel(), method="DOP853",
+                        rtol=0.1 * tol, atol=0.1 * tol, t_eval=phases)
+        if not sol.success:
+            raise IntegrationDivergedError(sol.message)
+        phi = sol.y.T.reshape(-1, 4, 4)
+        step = phi[-1]
+        v = _apply_powers(step, n, v0)
+        s = np.einsum("kij,jk->ki", phi[which[:-1], :3], v)
     norms = np.linalg.norm(s, axis=1)
     if np.any(norms > 1.0 + 100.0 * tol):
+        # a run shorter than one period never iterates Phi(t_max)
+        cause = (_outside_fixed_point(step, gamma_eff, b)
+                 if not driven or t_max >= drive.period else "")
         raise IntegrationDivergedError(
             f"|s| reached 1 + {norms.max() - 1.0:.3e}, beyond the physical "
-            f"bound 1 + {100.0 * tol:.3e}")
+            f"bound 1 + {100.0 * tol:.3e}{cause}")
 
     entropy = 0.5 * (1.0 - np.einsum("ij,ij->i", s, s))
     # s.M.s = Gamma_eff*(s_y^2 + s_z^2): the coherent block of M (the
     # precession and the drive rotation) is antisymmetric, and s.A.s = 0
     # for any antisymmetric A, so the drive's time dependence drops out
     entropy_rate = gamma_eff * (s[:, 1] ** 2 + s[:, 2] ** 2) - s @ b
-    return Trajectory(sol.t, s, entropy, entropy_rate)
+    return Trajectory(t_eval, s, entropy, entropy_rate)
 
 
 def steady_state(bath: BathSpec, delta: float = 1.0) -> BlochState:

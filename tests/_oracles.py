@@ -9,6 +9,7 @@ import math
 
 import mpmath as mp
 import numpy as np
+from scipy.integrate import solve_ivp
 
 ID2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -63,3 +64,33 @@ def rate_dd_series(x, omega, alpha, omega_c, temperature):
             total += (2 * mp.besselj(n, x) ** 2 * spectrum(n * omega)
                       * mp.exp(-n * omega / omega_c))
         return float(total / 2)
+
+
+def bloch_reference(kind, amplitude, omega, gamma, alpha, s0, times, tol,
+                    delta=1.0):
+    """Bloch trajectory by one adaptive DOP853 run over every drive cycle.
+
+    Integrates ds/dt = s x w(t) - diag(0, G, G) s + b, b = (0, 0,
+    -pi*alpha*Delta), with w = (0, 0, Delta + 2A cos(Omega t)) for the
+    sigma_z ("dd") drive, w = (2A cos(Omega t), 0, Delta) for the sigma_x
+    ("cdt") drive and w = (0, 0, Delta) undriven, at rtol = atol = tol/10,
+    and returns the states at the sample times, shape (len(times), 3).
+    """
+    b_z = -math.pi * alpha * delta
+    drive_x = 2.0 * amplitude if kind == "cdt" else 0.0
+    drive_z = 2.0 * amplitude if kind == "dd" else 0.0
+
+    def rhs(t, s):
+        c = math.cos(omega * t)
+        wx, wz = drive_x * c, delta + drive_z * c
+        sx, sy, sz = s
+        return [sy * wz, sz * wx - sx * wz - gamma * sy,
+                -sy * wx - gamma * sz + b_z]
+
+    times = np.asarray(times, dtype=float)
+    sol = solve_ivp(rhs, (0.0, times[-1]), np.asarray(s0, dtype=float),
+                    method="DOP853", rtol=0.1 * tol, atol=0.1 * tol,
+                    t_eval=times)
+    if not sol.success:
+        raise RuntimeError(sol.message)
+    return sol.y.T

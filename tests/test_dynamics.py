@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from _oracles import bloch_reference, expm_series
 
+from drivenqubit import dynamics
 from drivenqubit import (BathSpec, Drive, IntegrationDivergedError,
                          NoSteadyStateError, assemble_generator,
                          average_entropy_production, decay_eigenvalues,
-                         evolve, rate_cdt, rate_dd, rate_static,
-                         steady_state)
+                         effective_rate, evolve, rate_cdt, rate_dd,
+                         rate_static, steady_state)
 
 J0_FIRST_ZERO = 2.404825557695773
 
@@ -144,6 +146,91 @@ class TestEvolve:
             evolve(bath, Drive.none(), (1, 0, 0), -1.0, 0.1)
         with pytest.raises(ValueError):
             evolve(bath, Drive.none(), (1, 0, 0), 1.0, 0.1, tol=1e-2)
+
+
+def _reference(bath, drive, s0, times, tol):
+    """bloch_reference for drive at its closed-form Gamma_eff."""
+    return bloch_reference(drive.kind, drive.amplitude, drive.omega,
+                           effective_rate(bath, drive), bath.alpha, s0,
+                           times, tol)
+
+
+class TestFloquetPropagator:
+
+    S0 = (0.3, -0.4, 0.5)
+
+    @pytest.mark.parametrize("kind, t_max", [("dd", 20.0), ("cdt", 5.0)])
+    def test_driven_matches_per_cycle_reference(self, kind, t_max):
+        bath = make_bath()
+        d = Drive.from_ratio(kind, 2.4, 100.0)
+        tol = 1e-10
+        traj = evolve(bath, d, self.S0, t_max, 0.5, tol=tol)
+        want = _reference(bath, d, self.S0, traj.t, 1e-12)
+        assert np.max(np.abs(traj.s - want)) <= 10 * tol
+
+    @pytest.mark.parametrize("kind", ["dd", "cdt"])
+    @pytest.mark.parametrize("periods, per_period", [
+        (0.4, 125.0),               # t_max shorter than one period
+        (10.0, 1.0),                # every sample on a multiple of T
+        (10.0, 5.0),                # on n*T, where t - n*T rounds below 0
+        (7.3, 3.0 / math.sqrt(2)),  # dt_out incommensurate with T
+    ])
+    def test_sample_timing_cases(self, kind, periods, per_period):
+        bath = make_bath()
+        d = Drive.from_ratio(kind, 2.4, 100.0)
+        t_max, dt_out = periods * d.period, d.period / per_period
+        tol = 1e-10
+        traj = evolve(bath, d, self.S0, t_max, dt_out, tol=tol)
+        expected_t = np.arange(0.0, t_max + 0.5 * dt_out, dt_out)
+        assert np.array_equal(traj.t, expected_t[expected_t <= t_max])
+        want = _reference(bath, d, self.S0, traj.t, 1e-12)
+        assert np.max(np.abs(traj.s - want)) <= 10 * tol
+
+    def test_undriven_matches_series_exponential(self):
+        bath = make_bath()
+        gamma = rate_static(bath)
+        a = np.zeros((4, 4))
+        a[:3, :3] = -np.array([[0.0, -1.0, 0.0],
+                               [1.0, gamma, 0.0],
+                               [0.0, 0.0, gamma]])
+        a[2, 3] = -math.pi * bath.alpha
+        traj = evolve(bath, Drive.none(), self.S0, 5.0, 0.05)
+        v0 = np.append(self.S0, 1.0)
+        for t, s in zip(traj.t, traj.s):
+            want = (expm_series(a * t) @ v0).real[:3]
+            assert np.max(np.abs(s - want)) < 1e-13
+
+    @pytest.mark.parametrize("periods", [0.3, 1.0, 250.0])
+    def test_driven_run_makes_one_solver_call_within_a_period(
+            self, monkeypatch, periods):
+        calls = []
+        solve_ivp = dynamics.solve_ivp
+
+        def recording(fun, t_span, *args, **kwargs):
+            calls.append(t_span)
+            return solve_ivp(fun, t_span, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "solve_ivp", recording)
+        d = Drive.from_ratio("cdt", 2.4, 100.0)
+        evolve(make_bath(), d, self.S0, periods * d.period, 0.01)
+        assert len(calls) == 1
+        assert calls[0][1] <= d.period
+        evolve(make_bath(), Drive.none(), self.S0, 100.0, 0.01)
+        assert len(calls) == 1
+
+    def test_divergence_names_fixed_point_outside_ball(self):
+        # J0 zero at a low temperature: Gamma_DD < pi*alpha*Delta puts the
+        # fixed point s_z = -pi*alpha*Delta/Gamma_DD far below -1
+        bath = make_bath(temperature=0.1)
+        d = Drive.from_ratio("dd", 2.4048, 5000.0)
+        s_z = -math.pi * bath.alpha / rate_dd(d, bath)
+        assert s_z == pytest.approx(-8.17, abs=0.01)
+        with pytest.raises(IntegrationDivergedError) as info:
+            evolve(bath, d, (0.0, 0.0, 0.0), 100.0, 0.1)
+        message = str(info.value)
+        assert "|s| reached 1 + " in message
+        radius = float(message.split("|s*| = ")[1].split(":")[0])
+        assert radius == pytest.approx(abs(s_z), rel=1e-3)
 
 
 class TestSteadyState:
