@@ -11,14 +11,13 @@ writes coherence-stabilization sweeps as CSV.
 
 __version__ = "0.1.0"
 
-from .bath import BathSpec, RegimeWarning, power_spectrum, spectral_density
+from .bath import BathSpec, RegimeWarning, power_spectrum
 from .driving import (CDT, DD, NONE, Drive, bessel_j, cdt_propagator,
                       dd_propagator, effective_coupling_cdt,
                       effective_coupling_dd, effective_splitting,
                       numeric_q_oracle)
-from .dynamics import (BlochGenerator, DecaySpectrum,
-                       IntegrationDivergedError, NoSteadyStateError,
-                       Trajectory, assemble_generator,
+from .dynamics import (DecaySpectrum, IntegrationDivergedError,
+                       NoSteadyStateError, Trajectory,
                        average_entropy_production, decay_eigenvalues, evolve,
                        steady_state)
 from .operators import (BlochState, InvalidStateError, QubitOperator,
@@ -29,14 +28,13 @@ from .rates import (RateReport, build_report, effective_rate, rate_cdt,
                     stabilization_eta_cdt, trace_bound)
 
 __all__ = [
-    "BathSpec", "RegimeWarning", "power_spectrum", "spectral_density",
+    "BathSpec", "RegimeWarning", "power_spectrum",
     "CDT", "DD", "NONE", "Drive", "bessel_j", "cdt_propagator",
     "dd_propagator", "effective_coupling_cdt", "effective_coupling_dd",
     "effective_splitting", "numeric_q_oracle",
-    "BlochGenerator", "DecaySpectrum", "IntegrationDivergedError",
-    "NoSteadyStateError", "Trajectory", "assemble_generator",
-    "average_entropy_production", "decay_eigenvalues", "evolve",
-    "steady_state",
+    "DecaySpectrum", "IntegrationDivergedError", "NoSteadyStateError",
+    "Trajectory", "average_entropy_production", "decay_eigenvalues",
+    "evolve", "steady_state",
     "BlochState", "InvalidStateError", "QubitOperator", "SIGMA_X",
     "SIGMA_Y", "SIGMA_Z", "IDENTITY", "bloch_from_density", "conjugate",
     "pauli_rotation",

@@ -1,4 +1,4 @@
-"""Ohmic bath: spectral density and symmetric-fluctuation power spectrum.
+"""Ohmic bath: parameters and symmetric-fluctuation power spectrum.
 
 Natural units hbar = k_B = 1 with the static qubit splitting Delta as the
 frequency unit.  Temperatures are therefore dimensionless (T = 1 means
@@ -50,11 +50,12 @@ class BathSpec:
 
     def __post_init__(self):
         params = (self.alpha, self.omega_c, self.temperature)
-        if np.any(np.less(self.alpha, 0.0)):
+        # written as "not >=" so that NaN fails the check too
+        if np.any(~np.greater_equal(self.alpha, 0.0)):
             raise ValueError("alpha must be non-negative")
-        if np.any(np.less_equal(self.omega_c, 0.0)):
+        if np.any(~np.greater(self.omega_c, 0.0)):
             raise ValueError("omega_c must be positive")
-        if np.any(np.less(self.temperature, 0.0)):
+        if np.any(~np.greater_equal(self.temperature, 0.0)):
             raise ValueError("temperature must be non-negative")
         _warn_points(
             np.multiply(self.alpha, np.log(np.maximum(self.omega_c, 1.0)))
@@ -71,13 +72,6 @@ class BathSpec:
         """Inverse temperature; inf at T = 0."""
         with np.errstate(divide="ignore"):
             return np.divide(1.0, self.temperature)[()]
-
-
-def spectral_density(bath: BathSpec, omega: float) -> float:
-    """Ohmic spectral density J(w) = 2*pi*alpha*w*exp(-w/omega_c), w >= 0."""
-    if omega < 0.0:
-        raise ValueError("spectral density is defined for omega >= 0")
-    return 2.0 * math.pi * bath.alpha * omega * math.exp(-omega / bath.omega_c)
 
 
 def power_spectrum(bath: BathSpec, omega):

@@ -26,10 +26,9 @@ import numpy as np
 
 from . import __version__
 from .bath import BathSpec
-from .driving import CDT, DD, NONE, Drive, effective_splitting
+from .driving import CDT, DD, NONE, Drive
 from .dynamics import IntegrationDivergedError, evolve
-from .rates import (build_report, effective_rate, stabilization_eta,
-                    stabilization_eta_cdt, trace_bound)
+from .rates import build_report, stabilization_eta
 
 FLOAT_FMT = "%.8e"  # 9 significant digits
 
@@ -129,6 +128,14 @@ def _resolve(args: argparse.Namespace) -> dict:
     return cfg
 
 
+def _one_temperature(cfg: dict, command: str) -> float:
+    temperatures = cfg["temperature"]
+    if len(temperatures) != 1:
+        raise ValueError(f"{command} takes one temperature, got "
+                         f"{len(temperatures)}")
+    return temperatures[0]
+
+
 def _drive_from(cfg: dict) -> Drive:
     if cfg["drive"] == NONE:
         return Drive.none()
@@ -169,7 +176,7 @@ def _write_csv(path, comments: list[str], header: list[str],
 
 def cmd_rates(args) -> int:
     cfg = _resolve(args)
-    temperature = cfg["temperature"][0]
+    temperature = _one_temperature(cfg, "rates")
     bath = BathSpec(cfg["alpha"], cfg["omega_c"], temperature)
     drive = _drive_from(cfg)
     report = build_report(bath, drive, cfg["n_max"])
@@ -235,13 +242,11 @@ def cmd_scan(args) -> int:
         grid[param] = values
         bath = BathSpec(grid["alpha"], grid["omega_c"], grid["temperature"])
         drive = _drive_from(grid)
-        gamma_eff = effective_rate(bath, drive, cfg["n_max"])
-        gamma, _ = trace_bound(gamma_eff)
-        columns = [values, effective_splitting(drive), gamma_eff, gamma]
-        if drive.kind == DD:
-            columns.append(stabilization_eta(bath, drive, cfg["n_max"]))
-        elif drive.kind == CDT:
-            columns.append(stabilization_eta_cdt(bath, drive))
+        report = build_report(bath, drive, cfg["n_max"])
+        columns = [values, report.delta_eff, report.gamma_relax,
+                   report.gamma_trace]
+        columns += [eta for eta in (report.eta, report.eta_cdt)
+                    if eta is not None]
         rows = np.column_stack(np.broadcast_arrays(*columns))
 
         path = cfg["out"]
@@ -262,7 +267,8 @@ def cmd_evolve(args) -> int:
     s0 = np.array([float(v) for v in str(cfg["s0"]).split(",")])
     if s0.shape != (3,):
         raise ValueError("--s0 expects three comma-separated components")
-    bath = BathSpec(cfg["alpha"], cfg["omega_c"], cfg["temperature"][0])
+    bath = BathSpec(cfg["alpha"], cfg["omega_c"],
+                    _one_temperature(cfg, "evolve"))
     drive = _drive_from(cfg)
     header = ["t", "s_x", "s_y", "s_z", "S", "Sdot"]
     try:

@@ -45,10 +45,11 @@ class Drive:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown drive kind {self.kind!r}")
-        if np.any(np.less(self.amplitude, 0.0)):
+        # written as "not >=" so that NaN fails the check too
+        if np.any(~np.greater_equal(self.amplitude, 0.0)):
             raise ValueError("amplitude must be non-negative")
         if self.kind != NONE:
-            if np.any(np.less_equal(self.omega, 0.0)):
+            if np.any(~np.greater(self.omega, 0.0)):
                 raise ValueError("driven kinds require omega > 0")
             _warn_points(np.less(self.omega, 10.0),
                          "high-frequency approximation assumes Omega >> "
@@ -90,7 +91,7 @@ def bessel_j(n, x):
     return special.jv(n, x)[()]
 
 
-def effective_splitting(drive: Drive, delta: float = 1.0) -> float:
+def effective_splitting(drive: Drive) -> float:
     """Drive-renormalized splitting; J0(x)*Delta for CDT, Delta otherwise.
 
     A sigma_z drive commutes with the qubit Hamiltonian and leaves the
@@ -98,8 +99,8 @@ def effective_splitting(drive: Drive, delta: float = 1.0) -> float:
     sign beyond its first zero).
     """
     if drive.kind == CDT:
-        return bessel_j(0, drive.amp_ratio) * delta
-    return delta
+        return bessel_j(0, drive.amp_ratio)
+    return 1.0
 
 
 def _require_kind(drive: Drive, kind: str):
@@ -107,23 +108,21 @@ def _require_kind(drive: Drive, kind: str):
         raise ValueError(f"expected a {kind!r} drive, got {drive.kind!r}")
 
 
-def cdt_propagator(drive: Drive, t: float, t0: float,
-                   delta: float = 1.0) -> QubitOperator:
+def cdt_propagator(drive: Drive, t: float, t0: float) -> QubitOperator:
     """High-frequency propagator for the sigma_x drive.
 
     U(t, t0) = exp(-i*(A/Omega)*[sin(Omega t) - sin(Omega t0)]*sigma_x)
              * exp(-i*(Delta_eff/2)*(t - t0)*sigma_z)
     """
     _require_kind(drive, CDT)
-    d_eff = effective_splitting(drive, delta)
+    d_eff = effective_splitting(drive)
     phase = (drive.amplitude / drive.omega) * (
         math.sin(drive.omega * t) - math.sin(drive.omega * t0))
     return (pauli_rotation(X_AXIS, 2.0 * phase)
             @ pauli_rotation(Z_AXIS, d_eff * (t - t0)))
 
 
-def dd_propagator(drive: Drive, t: float, t0: float,
-                  delta: float = 1.0) -> QubitOperator:
+def dd_propagator(drive: Drive, t: float, t0: float) -> QubitOperator:
     """Exact propagator for the sigma_z drive (everything commutes).
 
     U(t, t0) = exp(-i*(A/Omega)*[sin(Omega t) - sin(Omega t0)]*sigma_z)
@@ -133,22 +132,20 @@ def dd_propagator(drive: Drive, t: float, t0: float,
     phase = (drive.amplitude / drive.omega) * (
         math.sin(drive.omega * t) - math.sin(drive.omega * t0))
     return (pauli_rotation(Z_AXIS, 2.0 * phase)
-            @ pauli_rotation(Z_AXIS, delta * (t - t0)))
+            @ pauli_rotation(Z_AXIS, t - t0))
 
 
-def effective_coupling_cdt(drive: Drive, bath: BathSpec,
-                           delta: float = 1.0) -> QubitOperator:
+def effective_coupling_cdt(drive: Drive, bath: BathSpec) -> QubitOperator:
     """Time-averaged coupling operator Q = S(|Delta_eff|)/2 * sigma_x.
 
     |Delta_eff| because the power spectrum is even and J0 may be negative.
     """
     _require_kind(drive, CDT)
-    d_eff = effective_splitting(drive, delta)
+    d_eff = effective_splitting(drive)
     return 0.5 * power_spectrum(bath, abs(d_eff)) * SIGMA_X
 
 
-def dd_harmonic_sum(drive: Drive, bath: BathSpec, n_max: int,
-                    delta: float = 1.0):
+def dd_harmonic_sum(drive: Drive, bath: BathSpec, n_max: int):
     """sigma_x weight of 2*Q_DD, i.e.
 
         J0(x)^2 * S(Delta) + 2 * sum_n J_n(x)^2 * S(n*Omega) * e^(-n*Omega/wc)
@@ -168,15 +165,15 @@ def dd_harmonic_sum(drive: Drive, bath: BathSpec, n_max: int,
     j2 = bessel_j(n, x) ** 2
     w = n[1:] * drive.omega
     harmonics = j2[1:] * power_spectrum(bath, w) * np.exp(-w / bath.omega_c)
-    return (j2[0] * power_spectrum(bath, delta)
+    return (j2[0] * power_spectrum(bath, 1.0)
             + 2.0 * harmonics.sum(axis=0))[()]
 
 
-def effective_coupling_dd(drive: Drive, bath: BathSpec, n_max: int = 64,
-                          delta: float = 1.0) -> QubitOperator:
+def effective_coupling_dd(drive: Drive, bath: BathSpec,
+                          n_max: int = 64) -> QubitOperator:
     """Time-averaged coupling operator for the sigma_z drive."""
     _require_kind(drive, DD)
-    return 0.5 * dd_harmonic_sum(drive, bath, n_max, delta) * SIGMA_X
+    return 0.5 * dd_harmonic_sum(drive, bath, n_max) * SIGMA_X
 
 
 def _rotation_matrices(axis_mat: np.ndarray, half_angles: np.ndarray):
@@ -187,8 +184,7 @@ def _rotation_matrices(axis_mat: np.ndarray, half_angles: np.ndarray):
 
 
 def numeric_q_oracle(drive: Drive, bath: BathSpec, grid_t: int = 64,
-                     n_harmonics: int = 32,
-                     delta: float = 1.0) -> QubitOperator:
+                     n_harmonics: int = 32) -> QubitOperator:
     """Brute-force frequency-domain evaluation of the coupling operator Q.
 
     The conjugated operator U_F^dag U_P^dag sigma_x U_P U_F is built by raw
@@ -214,10 +210,10 @@ def numeric_q_oracle(drive: Drive, bath: BathSpec, grid_t: int = 64,
 
     if drive.kind == CDT:
         axis_mat = SX
-        omega2 = effective_splitting(drive, delta)
+        omega2 = effective_splitting(drive)
     else:
         axis_mat = SZ
-        omega2 = delta
+        omega2 = 1.0
 
     n1 = max(4 * n_harmonics, 128)
     n2 = 8

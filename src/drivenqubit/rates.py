@@ -22,7 +22,11 @@ from .driving import (CDT, DD, NONE, Drive, _require_kind, dd_harmonic_sum,
 
 @dataclass(frozen=True)
 class RateReport:
-    """Scalar summary of the dissipative dynamics at one parameter point."""
+    """Summary of the dissipative dynamics at one parameter point.
+
+    Array bath or drive parameters give array fields of their broadcast
+    shape, one entry per point.
+    """
 
     drive_kind: str
     delta_eff: float
@@ -33,23 +37,25 @@ class RateReport:
     eta_cdt: float | None = None   # CDT analogue (extension, kept separate)
 
 
-def rate_static(bath: BathSpec, delta: float = 1.0) -> float:
-    """Undriven relaxation rate Gamma = S(Delta)/2 = pi*alpha*Delta*coth(Delta/2T)."""
-    return 0.5 * power_spectrum(bath, delta)
+def rate_static(bath: BathSpec) -> float:
+    """Undriven relaxation rate Gamma = S(Delta)/2.
+
+    Gamma = pi*alpha*Delta*coth(Delta/2T), with Delta = 1.
+    """
+    return 0.5 * power_spectrum(bath, 1.0)
 
 
-def rate_cdt(drive: Drive, bath: BathSpec, delta: float = 1.0) -> float:
+def rate_cdt(drive: Drive, bath: BathSpec) -> float:
     """Relaxation rate under the sigma_x drive, Gamma_CDT = S(|Delta_eff|)/2.
 
     Finite limit 2*pi*alpha*T when Delta_eff sits at a J0 zero (zero at
     T = 0).  Even in Delta_eff, so it is continuous across Bessel zeros.
     """
     _require_kind(drive, CDT)
-    return 0.5 * power_spectrum(bath, abs(effective_splitting(drive, delta)))
+    return 0.5 * power_spectrum(bath, abs(effective_splitting(drive)))
 
 
-def rate_dd(drive: Drive, bath: BathSpec, n_max: int = 64,
-            delta: float = 1.0) -> float:
+def rate_dd(drive: Drive, bath: BathSpec, n_max: int = 64) -> float:
     """Relaxation rate under the sigma_z drive.
 
     Gamma_DD = Gamma * { J0(x)^2 + 2*sum_n (n*Omega/Delta)
@@ -60,7 +66,7 @@ def rate_dd(drive: Drive, bath: BathSpec, n_max: int = 64,
     both are evaluated through the same harmonic sum.
     """
     _require_kind(drive, DD)
-    return 0.5 * dd_harmonic_sum(drive, bath, n_max, delta)
+    return 0.5 * dd_harmonic_sum(drive, bath, n_max)
 
 
 def trace_bound(rate_eff: float) -> tuple[float, float]:
@@ -71,8 +77,7 @@ def trace_bound(rate_eff: float) -> tuple[float, float]:
     return gamma, gamma / 3.0
 
 
-def stabilization_eta(bath: BathSpec, drive: Drive, n_max: int = 64,
-                      delta: float = 1.0) -> float:
+def stabilization_eta(bath: BathSpec, drive: Drive, n_max: int = 64) -> float:
     """Coherence stabilization factor for dynamical decoupling.
 
     eta = (Gamma/2) / gamma_DD: the lowest decoherence rate without the
@@ -82,13 +87,12 @@ def stabilization_eta(bath: BathSpec, drive: Drive, n_max: int = 64,
     vanishes, which needs T = 0, x at a J0 zero and all harmonics beyond
     the cutoff.
     """
-    return _eta(rate_static(bath, delta), rate_dd(drive, bath, n_max, delta))
+    return _eta(rate_static(bath), rate_dd(drive, bath, n_max))
 
 
-def stabilization_eta_cdt(bath: BathSpec, drive: Drive,
-                          delta: float = 1.0) -> float:
+def stabilization_eta_cdt(bath: BathSpec, drive: Drive) -> float:
     """CDT analogue of the stabilization factor, (Gamma/2)/gamma_CDT."""
-    return _eta(rate_static(bath, delta), rate_cdt(drive, bath, delta))
+    return _eta(rate_static(bath), rate_cdt(drive, bath))
 
 
 def _eta(rate_undriven, rate_driven):
@@ -102,25 +106,24 @@ def _eta(rate_undriven, rate_driven):
                         0.5 * rate_undriven / gamma_driven)[()]
 
 
-def effective_rate(bath: BathSpec, drive: Drive, n_max: int = 64,
-                   delta: float = 1.0) -> float:
+def effective_rate(bath: BathSpec, drive: Drive, n_max: int = 64) -> float:
     """Gamma_eff for any drive kind (dispatch helper)."""
     if drive.kind == NONE:
-        return rate_static(bath, delta)
+        return rate_static(bath)
     if drive.kind == CDT:
-        return rate_cdt(drive, bath, delta)
-    return rate_dd(drive, bath, n_max, delta)
+        return rate_cdt(drive, bath)
+    return rate_dd(drive, bath, n_max)
 
 
-def build_report(bath: BathSpec, drive: Drive, n_max: int = 64,
-                 delta: float = 1.0) -> RateReport:
-    """Assemble the full scalar bundle for one parameter point."""
-    gamma_eff = effective_rate(bath, drive, n_max, delta)
+def build_report(bath: BathSpec, drive: Drive, n_max: int = 64) -> RateReport:
+    """Assemble the full bundle for one parameter point or one grid.
+
+    eta (DD) or eta_cdt (CDT) is (Gamma/2)/(2*Gamma_eff) from the Gamma_eff
+    already computed, so a DD grid costs one harmonic sum.
+    """
+    gamma_eff = effective_rate(bath, drive, n_max)
     gamma, gamma_avg = trace_bound(gamma_eff)
-    eta = eta_cdt = None
-    if drive.kind == DD:
-        eta = stabilization_eta(bath, drive, n_max, delta)
-    elif drive.kind == CDT:
-        eta_cdt = stabilization_eta_cdt(bath, drive, delta)
-    return RateReport(drive.kind, effective_splitting(drive, delta),
-                      gamma_eff, gamma, gamma_avg, eta, eta_cdt)
+    eta = None if drive.kind == NONE else _eta(rate_static(bath), gamma_eff)
+    return RateReport(drive.kind, effective_splitting(drive), gamma_eff,
+                      gamma, gamma_avg, eta if drive.kind == DD else None,
+                      eta if drive.kind == CDT else None)

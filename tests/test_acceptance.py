@@ -76,8 +76,8 @@ def test_criterion_04_entropy_production_average(drive, gamma_eff_fn):
         gamma_eff = rate_cdt(drive, bath)
     else:
         gamma_eff = gamma_eff_fn(bath, drive)
-    mean, sem = average_entropy_production(bath, drive, t=0.37,
-                                           n_samples=100_000, seed=5)
+    mean, sem = average_entropy_production(bath, drive, n_samples=100_000,
+                                           seed=5)
     assert abs(mean - 2.0 * gamma_eff / 3.0) <= 3.0 * sem
     ok(f"criterion 4: <dS/dt> = gamma_eff/3 for {drive.kind} drive")
 

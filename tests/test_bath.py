@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from drivenqubit import BathSpec, RegimeWarning, power_spectrum, spectral_density
+from drivenqubit import BathSpec, RegimeWarning, power_spectrum
 
 from _oracles import coth_exp
 
@@ -22,6 +22,11 @@ class TestBathSpec:
             BathSpec(0.01, 0.0, 1.0)
         with pytest.raises(ValueError):
             BathSpec(0.01, 500.0, -1.0)
+        for params in ((math.nan, 500.0, 1.0), (0.01, math.nan, 1.0),
+                       (0.01, 500.0, math.nan),
+                       (np.array([0.01, math.nan]), 500.0, 1.0)):
+            with pytest.raises(ValueError):
+                BathSpec(*params)
 
     def test_beta_sentinel_at_zero_temperature(self):
         assert BathSpec(0.01, 500.0, 0.0).beta == math.inf
@@ -41,35 +46,6 @@ class TestBathSpec:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             BathSpec(0.01, 500.0, 1.0)
-
-
-class TestSpectralDensity:
-
-    def test_vanishes_at_zero(self):
-        assert spectral_density(make_bath(), 0.0) == 0.0
-
-    def test_value_at_cutoff(self):
-        bath = make_bath()
-        expected = 2 * math.pi * bath.alpha * bath.omega_c * math.exp(-1.0)
-        assert spectral_density(bath, bath.omega_c) == pytest.approx(
-            expected, rel=1e-15)
-
-    def test_generic_point(self):
-        bath = make_bath(alpha=0.01, omega_c=500.0)
-        expected = 2 * math.pi * 0.01 * math.exp(-1.0 / 500.0)
-        assert spectral_density(bath, 1.0) == pytest.approx(expected,
-                                                            rel=1e-15)
-
-    def test_maximum_at_cutoff(self):
-        bath = make_bath()
-        grid = np.linspace(0.0, 5 * bath.omega_c, 2001)
-        values = [spectral_density(bath, w) for w in grid]
-        assert grid[int(np.argmax(values))] == pytest.approx(bath.omega_c,
-                                                             rel=2e-3)
-
-    def test_rejects_negative_frequency(self):
-        with pytest.raises(ValueError):
-            spectral_density(make_bath(), -1.0)
 
 
 class TestPowerSpectrum:

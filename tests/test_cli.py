@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from drivenqubit import RegimeWarning
+from drivenqubit import RegimeWarning, rates
 from drivenqubit.cli import main
 
 from _oracles import bessel_series, coth_exp, rate_dd_series
@@ -50,6 +50,18 @@ class TestRates:
         delta_eff = float(out.splitlines()[1].split(":")[1].split()[0])
         assert abs(delta_eff) < 1e-5
 
+    def test_nan_parameter_is_usage_error(self, capsys):
+        assert main(["rates", "--alpha", "nan"]) == 2
+        assert "alpha" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["rates", "evolve"])
+def test_several_temperatures_are_usage_error(tmp_path, capsys, command):
+    assert main([command, "--temperature", "0.1", "--temperature", "1",
+                 "--out", str(tmp_path / "out.csv")]) == 2
+    assert f"{command} takes one temperature" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
 
 class TestScan:
 
@@ -85,6 +97,22 @@ class TestScan:
         for suffix in ("multi_T1.csv", "multi_T10.csv"):
             _, _, rows = read_csv(tmp_path / suffix)
             assert rows.shape[0] == 3
+
+    def test_one_harmonic_sum_per_dd_file(self, tmp_path, monkeypatch):
+        calls = []
+        harmonic_sum = rates.dd_harmonic_sum
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return harmonic_sum(*args, **kwargs)
+
+        monkeypatch.setattr(rates, "dd_harmonic_sum", counting)
+        assert main(["scan", "--sweep", "omega", "--min", "10", "--max",
+                     "1000", "--points", "30", "--spacing", "log",
+                     "--drive", "dd", "--amp-ratio", "2.4",
+                     "--temperature", "1", "--temperature", "10",
+                     "--out", str(tmp_path / "dd.csv")]) == 0
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("drive", ["none", "cdt", "dd"])
     @pytest.mark.parametrize("sweep, lo, hi", [("temperature", 0.2, 10.0),
@@ -191,6 +219,15 @@ class TestEvolve:
 
     def test_bad_s0_is_usage_error(self):
         assert main(["evolve", "--s0", "1,0"]) == 2
+
+    @pytest.mark.parametrize("flags", [["--dt-out", "0"], ["--dt-out", "-1"],
+                                       ["--s0=nan,0,0"]])
+    def test_bad_sampling_is_usage_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "traj.csv"
+        assert main(["evolve", "--t-max", "5", *flags, "--out", str(out)]) \
+            == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestFig1:

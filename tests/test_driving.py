@@ -31,6 +31,10 @@ class TestDrive:
             Drive("pulsed", 1.0, 100.0)
         with pytest.raises(ValueError):
             Drive.cdt(1.0, 0.0)
+        with pytest.raises(ValueError):
+            Drive.dd(math.nan, 100.0)
+        with pytest.raises(ValueError):
+            Drive.cdt(1.0, math.nan)
 
     def test_low_frequency_warning(self):
         with pytest.warns(RegimeWarning):
