@@ -12,14 +12,20 @@ flag given on the command line wins over the file, and the file wins over
 the defaults (fig1 has its own defaults for temperature and amp_ratio).
 scan and fig1 evaluate their whole parameter grid as arrays, one harmonic
 sum per output file; each RegimeWarning is raised once per grid with the
-number of points that tripped it.  All CSV output is deterministic:
-'#'-prefixed comments carry the resolved configuration, floats are written
-with 9 significant digits, Unix line endings.
+number of points that tripped it.  The DD harmonic sum picks its own
+length from the grid (dropped tail below 1e-16 * S(Delta)) and fails with
+exit status 2 where x = 2A/Omega is too large for it to converge.  With
+several temperatures scan writes one file per temperature, the stem of
+--out suffixed with _T<temperature>; --out - (or no --out) writes every
+table to stdout.  All CSV output is deterministic: '#'-prefixed comments
+carry the resolved configuration, floats are written with 9 significant
+digits, Unix line endings.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -31,6 +37,9 @@ from .dynamics import IntegrationDivergedError, evolve
 from .rates import build_report, stabilization_eta
 
 FLOAT_FMT = "%.8e"  # 9 significant digits
+# rows per '%' in _write_csv; the whole array in one string would hold
+# every formatted row in memory at once
+_CHUNK_ROWS = 4096
 
 
 def _fmt(x: float) -> str:
@@ -59,7 +68,6 @@ _CONFIG_PARSERS = {
     "drive": str,
     "amp_ratio": float,
     "omega": float,
-    "n_max": int,
     "tol": float,
     "out": str,
     "s0": str,
@@ -88,8 +96,6 @@ def _add_common(parser: argparse.ArgumentParser):
                         help="dimensionless drive strength x = 2A/Omega")
     parser.add_argument("--omega", type=float, default=None,
                         help="driving frequency in units of Delta")
-    parser.add_argument("--n-max", type=int, default=None,
-                        help="harmonic cap for the DD series (default 64)")
     parser.add_argument("--tol", type=float, default=None,
                         help="integrator tolerance (default 1e-9)")
     parser.add_argument("--out", default=None, help="output CSV path")
@@ -97,7 +103,7 @@ def _add_common(parser: argparse.ArgumentParser):
 
 _DEFAULTS = {
     "alpha": 0.01, "omega_c": 500.0, "temperature": [1.0], "drive": NONE,
-    "amp_ratio": 0.0, "omega": 100.0, "n_max": 64, "tol": 1e-9,
+    "amp_ratio": 0.0, "omega": 100.0, "tol": 1e-9,
     "out": None, "s0": "1,0,0", "t_max": 100.0, "dt_out": 0.1,
     "sweep": None, "min": None, "max": None, "points": None,
     "spacing": "linear",
@@ -159,12 +165,23 @@ def _config_comments(cfg: dict, extra: dict | None = None) -> list[str]:
 
 def _write_csv(path, comments: list[str], header: list[str],
                rows) -> None:
+    """Comments, header and rows; the same bytes as np.savetxt's rows.
+
+    One '%' over a block of repeated row templates formats _CHUNK_ROWS
+    rows at a time instead of one row per Python call.
+    """
+    rows = np.asarray(rows, dtype=float)
     out = sys.stdout if path in (None, "-") else open(path, "w", newline="\n")
     try:
         for line in comments:
             out.write(line + "\n")
         out.write(",".join(header) + "\n")
-        np.savetxt(out, rows, fmt=FLOAT_FMT, delimiter=",")
+        if rows.size:
+            template = ",".join([FLOAT_FMT] * rows.shape[1]) + "\n"
+            for start in range(0, len(rows), _CHUNK_ROWS):
+                block = rows[start:start + _CHUNK_ROWS]
+                out.write((template * len(block))
+                          % tuple(block.ravel().tolist()))
     finally:
         if out is not sys.stdout:
             out.close()
@@ -179,7 +196,7 @@ def cmd_rates(args) -> int:
     temperature = _one_temperature(cfg, "rates")
     bath = BathSpec(cfg["alpha"], cfg["omega_c"], temperature)
     drive = _drive_from(cfg)
-    report = build_report(bath, drive, cfg["n_max"])
+    report = build_report(bath, drive)
 
     print(f"drive        : {report.drive_kind}")
     print(f"Delta_eff    : {_fmt(report.delta_eff)}  [Delta]")
@@ -242,7 +259,7 @@ def cmd_scan(args) -> int:
         grid[param] = values
         bath = BathSpec(grid["alpha"], grid["omega_c"], grid["temperature"])
         drive = _drive_from(grid)
-        report = build_report(bath, drive, cfg["n_max"])
+        report = build_report(bath, drive)
         columns = [values, report.delta_eff, report.gamma_relax,
                    report.gamma_trace]
         columns += [eta for eta in (report.eta, report.eta_cdt)
@@ -250,10 +267,11 @@ def cmd_scan(args) -> int:
         rows = np.column_stack(np.broadcast_arrays(*columns))
 
         path = cfg["out"]
-        if temperature is not None and len(temperatures) > 1 and path:
-            stem, dot, ext = path.rpartition(".")
-            path = f"{stem}_T{temperature:g}.{ext}" if dot else \
-                f"{path}_T{temperature:g}"
+        if (temperature is not None and len(temperatures) > 1
+                and path not in (None, "-")):
+            # split the extension of the file name only, not of a directory
+            root, ext = os.path.splitext(path)
+            path = f"{root}_T{temperature:g}{ext}"
         extra = None if temperature is None else {"temperature": [temperature]}
         comments = _config_comments(cfg, extra)
         if cfg["drive"] == DD:
@@ -273,7 +291,7 @@ def cmd_evolve(args) -> int:
     header = ["t", "s_x", "s_y", "s_z", "S", "Sdot"]
     try:
         traj = evolve(bath, drive, s0, cfg["t_max"], cfg["dt_out"],
-                      tol=cfg["tol"], n_max=cfg["n_max"])
+                      tol=cfg["tol"])
     except IntegrationDivergedError as exc:
         comments = _config_comments(cfg) + [f"# DIVERGED: {exc}"]
         _write_csv(cfg["out"], comments, header, [])
@@ -301,7 +319,7 @@ def cmd_fig1(args) -> int:
     bath = BathSpec(cfg["alpha"], cfg["omega_c"], np.array(temps))
     drive = Drive.from_ratio(DD, cfg["amp_ratio"], omegas[:, None])
     rows = np.column_stack(
-        [omegas, stabilization_eta(bath, drive, cfg["n_max"])])
+        [omegas, stabilization_eta(bath, drive)])
 
     header = ["omega"] + [f"eta_T{t:g}" for t in temps]
     comments = _config_comments(cfg)

@@ -145,23 +145,57 @@ def effective_coupling_cdt(drive: Drive, bath: BathSpec) -> QubitOperator:
     return 0.5 * power_spectrum(bath, abs(d_eff)) * SIGMA_X
 
 
-def dd_harmonic_sum(drive: Drive, bath: BathSpec, n_max: int):
+# The DD series is summed to a tail below _TAIL_TOL * S(Delta); past
+# _MAX_HARMONICS harmonics (x of about 740) it is refused, not truncated.
+_TAIL_TOL = 1e-16
+_MAX_HARMONICS = 1024
+
+
+def _harmonic_count(x, bath: BathSpec) -> int:
+    """Smallest N whose dropped DD tail sum_{n>N} is below _TAIL_TOL*S(Delta).
+
+    With c_n = (x/2)^n/n! >= |J_n(x)| (Abramowitz & Stegun 9.1.62),
+    w*coth(w/2T) <= w + 2T and w*e^(-w/wc) <= wc/e, the n-th term over
+    S(Delta) is at most 2*c_n^2*(wc/e + 2T); alpha cancels and
+    coth(1/2T) >= 1.  Past N the ratio of consecutive bounds is at most
+    r = ((x/2)/(N+2))^2, so for r < 1 the tail is at most
+    2*(wc/e + 2T)*c_{N+1}^2/(1 - r).  The grid's largest x and largest
+    wc/e + 2T bound every point.
+    """
+    half_x = 0.5 * float(np.max(x))
+    scale = float(np.max(np.divide(bath.omega_c, math.e)
+                         + 2.0 * np.asarray(bath.temperature)))
+    c = half_x                                  # c_{N+1} for N = 0
+    for n in range(_MAX_HARMONICS + 1):
+        q = half_x / (n + 2)                    # q^2 = r
+        # c < sqrt(...), not c^2 < ...: c^2 overflows for x above about 700
+        if q < 1.0 and c < math.sqrt(_TAIL_TOL * (1.0 - q * q)
+                                     / (2.0 * scale)):
+            return n
+        c *= q
+    raise ValueError(
+        f"x = 2A/Omega = {2.0 * half_x:g} needs more than {_MAX_HARMONICS} "
+        f"harmonics for the DD sum to reach its tolerance {_TAIL_TOL:g}")
+
+
+def dd_harmonic_sum(drive: Drive, bath: BathSpec):
     """sigma_x weight of 2*Q_DD, i.e.
 
         J0(x)^2 * S(Delta) + 2 * sum_n J_n(x)^2 * S(n*Omega) * e^(-n*Omega/wc)
 
-    summed over the fixed block n = 1..n_max.  The cutoff is attached only
-    to the harmonic terms, matching the closed-form driven rate.  Array
-    drive and bath parameters give one point per broadcast element; the
-    harmonics run along a leading axis, so every Bessel factor comes from
-    one call.
+    summed over n = 1..N, with N chosen from the inputs so that the dropped
+    tail is below 1e-16 * S(Delta) at every point (see _harmonic_count).
+    Raises ValueError where that needs more than 1024 harmonics (x beyond
+    about 740) instead of truncating.  The cutoff is attached only to the
+    harmonic terms, matching the closed-form driven rate.  Array drive and
+    bath parameters give one point per broadcast element; the harmonics
+    run along a leading axis, so every Bessel factor comes from one call.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
     x = drive.amp_ratio
     ndim = max(map(np.ndim, (x, drive.omega, bath.alpha, bath.omega_c,
                              bath.temperature)))
-    n = np.arange(n_max + 1.0).reshape((-1,) + (1,) * ndim)
+    n = np.arange(_harmonic_count(x, bath) + 1.0)
+    n = n.reshape((-1,) + (1,) * ndim)
     j2 = bessel_j(n, x) ** 2
     w = n[1:] * drive.omega
     harmonics = j2[1:] * power_spectrum(bath, w) * np.exp(-w / bath.omega_c)
@@ -169,11 +203,10 @@ def dd_harmonic_sum(drive: Drive, bath: BathSpec, n_max: int):
             + 2.0 * harmonics.sum(axis=0))[()]
 
 
-def effective_coupling_dd(drive: Drive, bath: BathSpec,
-                          n_max: int = 64) -> QubitOperator:
+def effective_coupling_dd(drive: Drive, bath: BathSpec) -> QubitOperator:
     """Time-averaged coupling operator for the sigma_z drive."""
     _require_kind(drive, DD)
-    return 0.5 * dd_harmonic_sum(drive, bath, n_max) * SIGMA_X
+    return 0.5 * dd_harmonic_sum(drive, bath) * SIGMA_X
 
 
 def _rotation_matrices(axis_mat: np.ndarray, half_angles: np.ndarray):

@@ -53,7 +53,7 @@ class Trajectory:
         return BlochState(tuple(self.s[i]), float(self.t[i]))
 
 
-def _generator(bath: BathSpec, drive: Drive, n_max: int):
+def _generator(bath: BathSpec, drive: Drive):
     """Gamma_eff and the 4x4 A0, A1 with d/dt (s, 1) = A(t) (s, 1).
 
     A(t) = A0 + cos(Omega t) A1.  A0 = [[-M0, b], [0, 0]] holds the
@@ -62,7 +62,7 @@ def _generator(bath: BathSpec, drive: Drive, n_max: int):
     A1 is the drive's rotation at rate 2A about x (CDT) or about z (DD),
     zero undriven.
     """
-    gamma_eff = effective_rate(bath, drive, n_max)
+    gamma_eff = effective_rate(bath, drive)
     a0 = np.zeros((4, 4))
     # rotation about z: ds_x/dt = +s_y, ds_y/dt = -s_x
     a0[0, 1], a0[1, 0] = 1.0, -1.0
@@ -127,7 +127,7 @@ def _outside_fixed_point(step: np.ndarray, gamma_eff: float,
 
 
 def evolve(bath: BathSpec, drive: Drive, s0, t_max: float, dt_out: float,
-           tol: float = 1e-9, n_max: int = 64) -> Trajectory:
+           tol: float = 1e-9) -> Trajectory:
     """Sample the Bloch trajectory every dt_out through the one-period map.
 
     In augmented form d/dt (s, 1) = A(t) (s, 1) with A(t) = A0 +
@@ -159,7 +159,7 @@ def evolve(bath: BathSpec, drive: Drive, s0, t_max: float, dt_out: float,
     if not 1e-12 <= tol <= 1e-4:
         raise ValueError("tol must lie in [1e-12, 1e-4]")
 
-    gamma_eff, a0, a1 = _generator(bath, drive, n_max)
+    gamma_eff, a0, a1 = _generator(bath, drive)
 
     t_eval = np.arange(0.0, t_max + 0.5 * dt_out, dt_out)
     t_eval = t_eval[t_eval <= t_max]
@@ -246,8 +246,8 @@ def decay_eigenvalues(bath: BathSpec) -> DecaySpectrum:
 
 
 def average_entropy_production(bath: BathSpec, drive: Drive,
-                               n_samples: int = 100_000, seed: int = 0,
-                               n_max: int = 64) -> tuple[float, float]:
+                               n_samples: int = 100_000,
+                               seed: int = 0) -> tuple[float, float]:
     """Monte Carlo estimate of <dS/dt> over uniform pure initial states.
 
     Converges to tr M / 3 = 2*Gamma_eff/3 (the inhomogeneity averages to
@@ -257,7 +257,7 @@ def average_entropy_production(bath: BathSpec, drive: Drive,
     """
     if n_samples < 1000:
         raise ValueError("n_samples must be at least 1000")
-    gamma_eff, a0, _ = _generator(bath, drive, n_max)
+    gamma_eff, a0, _ = _generator(bath, drive)
     rng = np.random.default_rng(seed)
     s = rng.normal(size=(n_samples, 3))
     s /= np.linalg.norm(s, axis=1, keepdims=True)

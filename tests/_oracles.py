@@ -50,7 +50,10 @@ def pauli_coeffs(m):
 def rate_dd_series(x, omega, alpha, omega_c, temperature):
     """Gamma_DD = S(Delta)/2 * J0^2 + sum_n J_n^2 S(n*Omega) e^(-n*Omega/wc),
     summed term by term in 30-digit mpmath with S(w) = 2*pi*alpha*w*coth(w/2T)
-    (T > 0) over n <= 120, where J_n(x)^2 < 1e-300 for x <= 5.
+    (T > 0) over n <= max(120, 1.5*x + 60).  J_n(x) falls off
+    super-exponentially once n exceeds x: J_n(x)^2 < 1e-300 for x <= 5 at
+    n = 120, and the dropped terms stay far below 1e-20 of the sum at
+    n = 1.5*x + 60 for larger x.
     """
     with mp.workdps(30):
         x, omega = mp.mpf(x), mp.mpf(omega)
@@ -60,7 +63,7 @@ def rate_dd_series(x, omega, alpha, omega_c, temperature):
             return 2 * mp.pi * alpha * w * mp.coth(w / (2 * temperature))
 
         total = mp.besselj(0, x) ** 2 * spectrum(mp.mpf(1))
-        for n in range(1, 121):
+        for n in range(1, max(120, int(1.5 * x + 60)) + 1):
             total += (2 * mp.besselj(n, x) ** 2 * spectrum(n * omega)
                       * mp.exp(-n * omega / omega_c))
         return float(total / 2)

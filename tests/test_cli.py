@@ -1,10 +1,11 @@
+import io
 import math
 
 import numpy as np
 import pytest
 
 from drivenqubit import RegimeWarning, rates
-from drivenqubit.cli import main
+from drivenqubit.cli import _CHUNK_ROWS, FLOAT_FMT, _write_csv, main
 
 from _oracles import bessel_series, coth_exp, rate_dd_series
 
@@ -54,6 +55,17 @@ class TestRates:
         assert main(["rates", "--alpha", "nan"]) == 2
         assert "alpha" in capsys.readouterr().err
 
+    def test_dd_beyond_the_harmonic_limit_is_usage_error(self, capsys):
+        assert main(["rates", "--drive", "dd", "--amp-ratio", "800",
+                     "--omega", "10"]) == 2
+        assert "x = 2A/Omega = 800" in capsys.readouterr().err
+
+    def test_harmonic_cap_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["rates", "--drive", "dd", "--n-max", "64"])
+        assert exc.value.code == 2
+        assert "--n-max" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("command", ["rates", "evolve"])
 def test_several_temperatures_are_usage_error(tmp_path, capsys, command):
@@ -97,6 +109,27 @@ class TestScan:
         for suffix in ("multi_T1.csv", "multi_T10.csv"):
             _, _, rows = read_csv(tmp_path / suffix)
             assert rows.shape[0] == 3
+
+    def test_per_temperature_names_split_the_file_name_only(self, tmp_path):
+        (tmp_path / "run.v2").mkdir()
+        assert main(["scan", "--sweep", "omega", "--min", "10", "--max",
+                     "100", "--points", "2", "--temperature", "0.1",
+                     "--temperature", "1",
+                     "--out", str(tmp_path / "run.v2" / "scan")]) == 0
+        assert sorted(p.name for p in (tmp_path / "run.v2").iterdir()) == \
+            ["scan_T0.1", "scan_T1"]
+
+    def test_dash_writes_every_temperature_to_stdout(self, tmp_path,
+                                                     monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["scan", "--sweep", "omega", "--min", "10", "--max",
+                     "100", "--points", "2", "--temperature", "0.1",
+                     "--temperature", "1", "--out", "-"]) == 0
+        assert list(tmp_path.iterdir()) == []
+        out = capsys.readouterr().out
+        assert "# temperature = 0.1\n" in out
+        assert "# temperature = 1.0\n" in out
+        assert out.count("omega,delta_eff") == 2
 
     def test_one_harmonic_sum_per_dd_file(self, tmp_path, monkeypatch):
         calls = []
@@ -284,7 +317,7 @@ class TestConfigFile:
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
-        for line in ("omega_r = 3", "seed = 0", "workers = 2"):
+        for line in ("omega_r = 3", "seed = 0", "workers = 2", "n_max = 64"):
             cfg.write_text(line + "\n")
             assert main(["rates", "--config", str(cfg)]) == 2
 
@@ -309,3 +342,18 @@ class TestConfigFile:
         for field in data_line.strip().split(","):
             mantissa = field.split("e")[0]
             assert len(mantissa.replace("-", "").replace(".", "")) == 9
+
+
+@pytest.mark.parametrize("rows", [
+    np.empty((0, 3)),
+    np.array([[1.0, -2.5e-300, 3.0]]),
+    np.random.default_rng(5).normal(size=(_CHUNK_ROWS + 3, 3)) * 1e5,
+    np.array([[np.nan, np.inf, -np.inf], [0.0, -0.0, 1e308]]),
+], ids=["empty", "one-row", "across-chunks", "nan-inf"])
+def test_csv_rows_are_savetxt_bytes(tmp_path, rows):
+    out = tmp_path / "rows.csv"
+    _write_csv(str(out), ["# a comment"], ["a", "b", "c"], rows)
+    expected = io.StringIO()
+    np.savetxt(expected, rows, fmt=FLOAT_FMT, delimiter=",")
+    assert out.read_bytes() == \
+        ("# a comment\na,b,c\n" + expected.getvalue()).encode()

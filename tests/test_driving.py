@@ -189,15 +189,11 @@ class TestEffectiveCouplings:
     def test_dd_at_j0_zero_is_pure_harmonic_sum(self):
         bath = make_bath(temperature=10.0)
         d = Drive.from_ratio("dd", J0_FIRST_ZERO, 1000.0)
-        full = effective_coupling_dd(d, bath, n_max=64).cx
+        full = effective_coupling_dd(d, bath).cx
         # subtracting the (vanishing) J0^2 term changes nothing measurable
         j0_term = 0.5 * bessel_j(0, J0_FIRST_ZERO) ** 2 * \
             2 * math.pi * bath.alpha * (1 / math.tanh(0.05))
         assert j0_term / full < 1e-9
-
-    def test_dd_requires_n_max(self):
-        with pytest.raises(ValueError):
-            effective_coupling_dd(Drive.dd(1.0, 100.0), make_bath(), n_max=0)
 
     def test_couplings_hermitian_nonnegative_sigma_x(self):
         bath = make_bath(temperature=10.0)
@@ -244,7 +240,7 @@ class TestNumericQOracle:
         bath = make_bath(temperature=temperature)
         d = Drive.from_ratio("dd", x, 1000.0)
         got = numeric_q_oracle(d, bath, grid_t=64, n_harmonics=40)
-        expected = effective_coupling_dd(d, bath, n_max=40)
+        expected = effective_coupling_dd(d, bath)
         assert got.cx == pytest.approx(expected.cx, rel=1e-6)
         assert max(abs(got.c0), abs(got.cy), abs(got.cz)) < 1e-8
 

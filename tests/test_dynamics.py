@@ -20,7 +20,7 @@ def make_bath(alpha=0.01, omega_c=500.0, temperature=1.0):
 def generator_at(bath, drive, t):
     """(M, b) of ds/dt = -M s + b at time t, read off the augmented pair:
     M(t) = -(A0 + cos(Omega t) A1)[:3, :3] and b = A0[:3, 3]."""
-    _, a0, a1 = dynamics._generator(bath, drive, 64)
+    _, a0, a1 = dynamics._generator(bath, drive)
     a = a0 + math.cos(drive.omega * t) * a1
     return -a[:3, :3], a0[:3, 3]
 
@@ -82,7 +82,7 @@ class TestGenerator:
 
     def test_entropy_rate_of_poles(self):
         bath = make_bath()
-        gamma_eff, a0, _ = dynamics._generator(bath, Drive.none(), 64)
+        gamma_eff, a0, _ = dynamics._generator(bath, Drive.none())
         gamma = rate_static(bath)
         b3 = math.pi * bath.alpha
 

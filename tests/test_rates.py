@@ -1,7 +1,9 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drivenqubit import (BathSpec, Drive, bessel_j, build_report,
                          effective_coupling_dd, effective_splitting,
@@ -100,15 +102,15 @@ class TestRateDd:
             bessel_j(0, x) ** 2
             + 2 * sum(n * omega * math.exp(-n * omega / bath.omega_c)
                       * bessel_j(n, x) ** 2 for n in range(1, 41)))
-        got = rate_dd(Drive.from_ratio("dd", x, omega), bath, n_max=64)
+        got = rate_dd(Drive.from_ratio("dd", x, omega), bath)
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_matches_effective_coupling_coefficient(self):
         bath = make_bath(temperature=10.0)
         for x in (0.0, 1.2, 2.4):
             d = Drive.from_ratio("dd", x, 1000.0)
-            assert rate_dd(d, bath, n_max=64) == pytest.approx(
-                effective_coupling_dd(d, bath, n_max=64).cx, rel=1e-12)
+            assert rate_dd(d, bath) == pytest.approx(
+                effective_coupling_dd(d, bath).cx, rel=1e-12)
 
     def test_closed_form_tanh_ratio(self):
         bath = make_bath(temperature=10.0)
@@ -121,12 +123,31 @@ class TestRateDd:
                       / math.tanh(0.5 * n * omega / bath.temperature)
                       * math.exp(-n * omega / bath.omega_c)
                       * bessel_j(n, x) ** 2 for n in range(1, 41)))
-        got = rate_dd(Drive.from_ratio("dd", x, omega), bath, n_max=64)
+        got = rate_dd(Drive.from_ratio("dd", x, omega), bath)
         assert got == pytest.approx(expected, rel=1e-12)
 
-    def test_requires_n_max(self):
-        with pytest.raises(ValueError):
-            rate_dd(Drive.dd(1.0, 100.0), make_bath(), n_max=0)
+    @pytest.mark.parametrize("x", [80.0, 100.0, 200.0, 300.0])
+    def test_large_x_sums_every_harmonic_that_counts(self, x):
+        # a fixed block of 64 harmonics came out 42-68% low at x = 80-200
+        d = Drive.from_ratio("dd", x, 10.0)
+        assert rate_dd(d, make_bath()) == pytest.approx(
+            rate_dd_series(x, 10.0, 0.01, 500.0, 1.0), rel=1e-12)
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(x=st.floats(0.0, 60.0), log_omega=st.floats(1.0, 4.0),
+           temperature=st.floats(0.05, 10.0))
+    def test_matches_series_oracle(self, x, log_omega, temperature):
+        omega = 10.0 ** log_omega
+        d = Drive.from_ratio("dd", x, omega)
+        assert rate_dd(d, make_bath(temperature=temperature)) == \
+            pytest.approx(rate_dd_series(x, omega, 0.01, 500.0, temperature),
+                          rel=1e-12)
+
+    @pytest.mark.parametrize("x, shown", [(800.0, "800"), (1e300, "1e+300")])
+    def test_refuses_x_beyond_the_harmonic_limit(self, x, shown):
+        message = re.escape(f"x = 2A/Omega = {shown} ")
+        with pytest.raises(ValueError, match=message):
+            rate_dd(Drive.from_ratio("dd", x, 10.0), make_bath())
 
     def test_harmonics_beyond_a_bessel_zero_count(self):
         # J1(x) = 0 here, so the n = 1 term vanishes; the n >= 2 terms
