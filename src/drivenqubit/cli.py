@@ -13,7 +13,8 @@ the defaults (fig1 has its own defaults for temperature and amp_ratio).
 scan and fig1 evaluate their whole parameter grid as arrays, one harmonic
 sum per output file; each RegimeWarning is raised once per grid with the
 number of points that tripped it.  The DD harmonic sum picks its own
-length from the grid (dropped tail below 1e-16 * S(Delta)) and fails with
+length from the grid (dropped tail below 1e-16 * S(Delta)), records it as
+'# harmonics = N' in the header of DD scan and fig1 files, and fails with
 exit status 2 where x = 2A/Omega is too large for it to converge.  With
 several temperatures scan writes one file per temperature, the stem of
 --out suffixed with _T<temperature>; --out - (or no --out) writes every
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .bath import BathSpec
-from .driving import CDT, DD, NONE, Drive
+from .driving import CDT, DD, NONE, Drive, _harmonic_count
 from .dynamics import IntegrationDivergedError, evolve
 from .rates import build_report, stabilization_eta
 
@@ -187,6 +188,11 @@ def _write_csv(path, comments: list[str], header: list[str],
             out.close()
 
 
+def _harmonics_comment(drive: Drive, bath: BathSpec) -> str:
+    """The number of harmonics the DD sum takes over this grid."""
+    return f"# harmonics = {_harmonic_count(drive.amp_ratio, bath)}"
+
+
 # --------------------------------------------------------------------------
 # subcommands
 
@@ -275,7 +281,7 @@ def cmd_scan(args) -> int:
         extra = None if temperature is None else {"temperature": [temperature]}
         comments = _config_comments(cfg, extra)
         if cfg["drive"] == DD:
-            comments.append(eta_note)
+            comments += [_harmonics_comment(drive, bath), eta_note]
         _write_csv(path, comments, header, rows)
     return 0
 
@@ -323,6 +329,7 @@ def cmd_fig1(args) -> int:
 
     header = ["omega"] + [f"eta_T{t:g}" for t in temps]
     comments = _config_comments(cfg)
+    comments.append(_harmonics_comment(drive, bath))
     comments.append("# reference: eta = 0.25 (improvement on average), "
                     "eta = 1 (improvement for any initial state)")
     _write_csv(cfg["out"], comments, header, rows)

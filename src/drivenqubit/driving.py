@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .bath import BathSpec, _warn_points, power_spectrum
 from .operators import (ID2, PAULIS, SX, SZ, QubitOperator, SIGMA_X,
@@ -84,11 +83,69 @@ class Drive:
         return 2.0 * math.pi / self.omega
 
 
+# bessel_j refuses |x| beyond this: its recurrence starts above |x|, so
+# its cost grows linearly with |x|
+_MAX_BESSEL_X = 1e5
+
+
 def bessel_j(n, x):
-    """Bessel function of the first kind J_n(x), n >= 0; broadcasts."""
-    if np.any(np.less(n, 0)):
-        raise ValueError("order must be non-negative")
-    return special.jv(n, x)[()]
+    """Bessel function of the first kind J_n(x) for integer n >= 0; broadcasts.
+
+    Every order up to max(n) comes from one recurrence over the points of
+    x (_bessel_table), so the cost follows x's own shape, not the
+    broadcast shape of n and x.  Raises ValueError for negative or
+    non-integer orders and for x that is not finite or exceeds 1e5 in
+    magnitude.
+    """
+    n = np.asarray(n)
+    # written as "not >=" so that NaN fails the check too
+    if np.any(~np.greater_equal(n, 0)) or np.any(n != np.floor(n)):
+        raise ValueError("orders must be non-negative integers")
+    x = np.asarray(x, dtype=float)
+    if np.any(~(np.abs(x) <= _MAX_BESSEL_X)):
+        raise ValueError(f"bessel_j needs finite |x| <= {_MAX_BESSEL_X:g}")
+    table = _bessel_table(int(np.max(n, initial=0)), x)
+    points = np.arange(x.size).reshape(x.shape)
+    return table.reshape(len(table), -1)[n.astype(np.intp), points][()]
+
+
+def _bessel_table(n_max: int, x: np.ndarray) -> np.ndarray:
+    """J_0(x)..J_{n_max}(x), shape (n_max + 1,) + x.shape (Miller's method).
+
+    The ratios r_k = J_k/J_{k-1} = x/(2k - x*r_{k+1}) (Abramowitz &
+    Stegun 9.1.27) are recurred downward from r = 0 above an order `top`
+    past max(n_max, |x|); this form never divides by x, and r_k ~ x/2k
+    underflows gracefully at tiny x where J_k itself would overflow a
+    downward recurrence of unnormalized values.  J_0 then follows from
+    J_0 + 2*sum_k J_2k = 1 (A&S 9.1.46), the sum of r_1*...*r_2k taken by
+    Horner's rule on the way down, and J_k = J_0*r_1*...*r_k.  J_n(x)
+    leaves its oscillating range over a width (x/2)^(1/3) past n = x
+    (Airy transition); 12*|x|^(1/3) + 20 orders beyond it put J_top below
+    1e-17, so the start is forgotten to rounding.
+    """
+    x_max = float(np.max(np.abs(x), initial=0.0))
+    top = max(n_max, math.ceil(x_max)) + int(12.0 * x_max ** (1.0 / 3.0)) + 20
+    top += top % 2                          # pairs (r_2k-1, r_2k) end at 1
+    # one point recurs on Python floats, ~10x faster per step than on a
+    # 0-d array; the same expressions serve both
+    x = float(x) if x.ndim == 0 else x
+    # a zero denominator means J_{k-1}(x) = 0 to rounding; its rounding
+    # level keeps r_k large but finite, and r_{k-1}*r_k stays exact enough
+    eps = float(np.finfo(float).eps)
+    ratio = even_ratio = horner = 0.0       # horner: sum_k r_1*...*r_2k
+    ratios = np.empty((n_max,) + np.shape(x))
+    with np.errstate(under="ignore"):
+        for k in range(top, 0, -1):
+            d = 2.0 * k - x * ratio
+            ratio = x / (d + (d == 0.0) * (2.0 * k * eps))
+            if k <= n_max:
+                ratios[k - 1] = ratio
+            if k % 2 == 0:
+                even_ratio = ratio
+            else:
+                horner = ratio * even_ratio * (1.0 + horner)
+        j0 = np.asarray(1.0 / (1.0 + 2.0 * horner))
+        return np.concatenate([j0[None], j0 * np.cumprod(ratios, axis=0)])
 
 
 def effective_splitting(drive: Drive) -> float:
@@ -194,7 +251,7 @@ def dd_harmonic_sum(drive: Drive, bath: BathSpec):
     x = drive.amp_ratio
     ndim = max(map(np.ndim, (x, drive.omega, bath.alpha, bath.omega_c,
                              bath.temperature)))
-    n = np.arange(_harmonic_count(x, bath) + 1.0)
+    n = np.arange(_harmonic_count(x, bath) + 1)
     n = n.reshape((-1,) + (1,) * ndim)
     j2 = bessel_j(n, x) ** 2
     w = n[1:] * drive.omega

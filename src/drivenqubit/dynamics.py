@@ -10,23 +10,38 @@ tr M = 2*Gamma_eff at all times.
 M(t) repeats with the drive period T = 2*pi/Omega, so evolve integrates
 the affine propagator over one period only and reaches every later
 sample through integer powers of it; an undriven run needs no solver at
-all, only the matrix exponential of the constant generator.
+all, only the matrix exponential of the constant generator (_expm).
+
+solve_ivp, the one-period solver, is a module attribute resolved on first
+access (PEP 562 __getattr__): importing scipy.integrate costs about as
+much as numpy itself, and only a driven evolve needs it, so every other
+use of the package runs on numpy alone.  evolve looks the name up on the
+module at each call, so replacing dynamics.solve_ivp (to count or record
+its calls) takes effect.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import expm
 
 from .bath import BathSpec, RegimeWarning
 from .driving import CDT, DD, Drive
 from .operators import BlochState
 from .rates import effective_rate, rate_static
+
+
+def __getattr__(name):
+    """solve_ivp, imported from scipy.integrate on first access."""
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+        globals()["solve_ivp"] = solve_ivp
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class IntegrationDivergedError(RuntimeError):
@@ -88,6 +103,38 @@ def _entropy_rate(s: np.ndarray, gamma_eff: float, b_z: float):
     return gamma_eff * (s[..., 1] ** 2 + s[..., 2] ** 2) - b_z * s[..., 2]
 
 
+# _expm scales its argument to a 1-norm of at most _EXPM_NORM, where
+# _EXPM_TERMS Taylor terms leave a remainder below 1e-16 of the sum
+_EXPM_NORM = 0.5
+_EXPM_TERMS = 14
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential e^a by a Taylor series with scaling and squaring.
+
+    b = a/2^s has 1-norm <= 1/2, and E = e^b - I = b(I + b/2(I + b/3(...)))
+    is summed by Horner's rule.  The squarings carry E itself, as
+    (I + E)^2 = I + (2E + E^2), so the low bits of e^b next to the identity
+    are not rounded away; once an entry of E reaches 1/2, e^b is no longer
+    near I and the remaining squarings act on I + E, which keeps entries
+    that decay toward 0 from rounding against 1.
+    """
+    norm = float(np.abs(a).sum(axis=0).max())
+    s = max(0, math.ceil(math.log2(norm / _EXPM_NORM))) if norm else 0
+    b = a / 2.0 ** s
+    eye = np.eye(len(a))
+    e = np.zeros_like(b)
+    for k in range(_EXPM_TERMS, 0, -1):
+        e = b @ (eye + e) / k
+    while s and np.abs(e).max() <= 0.5:
+        e = 2.0 * e + e @ e
+        s -= 1
+    m = eye + e
+    for _ in range(s):
+        m = m @ m
+    return m
+
+
 def _apply_powers(step: np.ndarray, n: np.ndarray,
                   v0: np.ndarray) -> np.ndarray:
     """Columns step^n[k] @ v0, shape (4, len(n)), by binary powering.
@@ -138,7 +185,7 @@ def evolve(bath: BathSpec, drive: Drive, s0, t_max: float, dt_out: float,
     DOP853 at rtol = atol = tol/10, and read at the drive phases tau of
     the samples; Phi(T)^n (s0, 1) comes from binary powering, so the cost
     does not grow with t_max / T.  An undriven run calls no solver:
-    sample k is expm(A0*dt_out)^k (s0, 1).
+    sample k is exp(A0*dt_out)^k (s0, 1).
 
     The full time-dependent coherent block is kept (no rotating frame),
     so the high-frequency approximation enters only through Gamma_eff.
@@ -166,7 +213,7 @@ def evolve(bath: BathSpec, drive: Drive, s0, t_max: float, dt_out: float,
     v0 = np.append(s0, 1.0)
     driven = a1.any()
     if not driven:
-        step = expm(a0 * dt_out)
+        step = _expm(a0 * dt_out)
         s = _apply_powers(step, np.arange(len(t_eval)), v0)[:3].T
     else:
         omega, period = drive.omega, drive.period
@@ -182,6 +229,7 @@ def evolve(bath: BathSpec, drive: Drive, s0, t_max: float, dt_out: float,
 
         # safety factor 10 keeps the drift of Phi(T)^n within ~10*tol over
         # hundreds of periods, not just the per-step error
+        solve_ivp = sys.modules[__name__].solve_ivp
         sol = solve_ivp(rhs, (0.0, span), np.eye(4).ravel(), method="DOP853",
                         rtol=0.1 * tol, atol=0.1 * tol, t_eval=phases)
         if not sol.success:

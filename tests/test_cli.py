@@ -147,6 +147,17 @@ class TestScan:
                      "--out", str(tmp_path / "dd.csv")]) == 0
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("drive, line", [("dd", "# harmonics = 84"),
+                                             ("cdt", None), ("none", None)])
+    def test_dd_files_record_harmonic_count(self, tmp_path, drive, line):
+        out = tmp_path / "x.csv"
+        assert main(["scan", "--sweep", "amp_ratio", "--min", "0", "--max",
+                     "50", "--points", "11", "--drive", drive, "--omega",
+                     "20", "--temperature", "1", "--out", str(out)]) == 0
+        comments, _, _ = read_csv(out)
+        counts = [c for c in comments if c.startswith("# harmonics")]
+        assert counts == ([line] if line else [])
+
     @pytest.mark.parametrize("drive", ["none", "cdt", "dd"])
     @pytest.mark.parametrize("sweep, lo, hi", [("temperature", 0.2, 10.0),
                                                ("alpha", 0.001, 0.02)])
@@ -273,6 +284,8 @@ class TestFig1:
         assert header == ["omega", "eta_T0.1", "eta_T1", "eta_T10"]
         assert any("0.25" in c for c in comments)
         assert any("eta = 1" in c for c in comments)
+        # x = 2.4 with T up to 10: the DD sum's tail bound stops at 13
+        assert "# harmonics = 13" in comments
 
     def test_eta_grows_with_frequency(self, tmp_path):
         out = tmp_path / "fig1.csv"

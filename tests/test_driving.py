@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -12,6 +13,7 @@ from drivenqubit import (BathSpec, Drive, RegimeWarning, bessel_j,
 from _oracles import SX, SZ, bessel_series, expm_series
 
 J0_FIRST_ZERO = 2.404825557695773
+J1_FIRST_ZERO = 3.831705970207512
 
 
 def make_bath(alpha=0.01, omega_c=500.0, temperature=1.0):
@@ -56,9 +58,39 @@ class TestBesselJ:
                 assert bessel_j(n, x) == pytest.approx(
                     bessel_series(n, x), rel=1e-12, abs=1e-14)
 
+    HARD_X = [0.0, 1e-300, 1e-8, J0_FIRST_ZERO, J1_FIRST_ZERO, 50.0, 300.0,
+              740.0]
+
+    @pytest.mark.parametrize("x", HARD_X)
+    def test_against_mpmath(self, x):
+        # every order up to 1024 for small x; mpmath is slow at large x
+        # and order below x, so there every order to 64, then every 4th
+        n = np.arange(1025) if x <= 50.0 else np.r_[0:65, 68:1025:4, 1024]
+        want = np.array([float(mp.besselj(int(k), x)) for k in n])
+        assert np.max(np.abs(bessel_j(n, x) - want)) <= 1e-15
+
+    def test_grid_matches_pointwise_without_floating_point_errors(self):
+        # a downward recurrence of J_n itself overflows at tiny x
+        n = np.arange(1025)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            got = bessel_j(n[:, None], self.HARD_X)
+        assert got.shape == (1025, len(self.HARD_X))
+        for i, x in enumerate(self.HARD_X):
+            assert np.max(np.abs(got[:, i] - bessel_j(n, x))) <= 1e-16
+
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
             bessel_j(-1, 1.0)
+
+    @pytest.mark.parametrize("n", [0.5, math.nan, [2, 2.5]])
+    def test_rejects_non_integer_order(self, n):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            bessel_j(n, 1.0)
+
+    @pytest.mark.parametrize("x", [math.inf, math.nan, 2e5])
+    def test_rejects_x_it_cannot_reach(self, x):
+        with pytest.raises(ValueError, match="finite"):
+            bessel_j(0, x)
 
 
 class TestEffectiveSplitting:
