@@ -15,7 +15,10 @@ sum per output file; each RegimeWarning is raised once per grid with the
 number of points that tripped it.  The DD harmonic sum picks its own
 length from the grid (dropped tail below 1e-16 * S(Delta)), records it as
 '# harmonics = N' in the header of DD scan and fig1 files, and fails with
-exit status 2 where x = 2A/Omega is too large for it to converge.  With
+exit status 2 where x = 2A/Omega is too large for it to converge.  A
+driven evolve records the Magnus steps per drive period and the estimated
+error of its one-period propagator as '# substeps = N' and
+'# period_error = e' in its header.  With
 several temperatures scan writes one file per temperature, the stem of
 --out suffixed with _T<temperature>; --out - (or no --out) writes every
 table to stdout.  All CSV output is deterministic: '#'-prefixed comments
@@ -98,7 +101,7 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--omega", type=float, default=None,
                         help="driving frequency in units of Delta")
     parser.add_argument("--tol", type=float, default=None,
-                        help="integrator tolerance (default 1e-9)")
+                        help="error bound of a trajectory (default 1e-9)")
     parser.add_argument("--out", default=None, help="output CSV path")
 
 
@@ -303,8 +306,12 @@ def cmd_evolve(args) -> int:
         _write_csv(cfg["out"], comments, header, [])
         print(f"integration diverged: {exc}", file=sys.stderr)
         return 1
+    comments = _config_comments(cfg)
+    if traj.substeps is not None:
+        comments += [f"# substeps = {traj.substeps}",
+                     f"# period_error = {traj.period_error:.3e}"]
     rows = np.column_stack([traj.t, traj.s, traj.entropy, traj.entropy_rate])
-    _write_csv(cfg["out"], _config_comments(cfg), header, rows)
+    _write_csv(cfg["out"], comments, header, rows)
     return 0
 
 

@@ -7,23 +7,23 @@ diag(0, Gamma_eff, Gamma_eff) of the sigma_x double-commutator; the
 inhomogeneity b = (0, 0, -pi*alpha) is not modified by the driving.
 tr M = 2*Gamma_eff at all times.
 
-M(t) repeats with the drive period T = 2*pi/Omega, so evolve integrates
-the affine propagator over one period only and reaches every later
-sample through integer powers of it; an undriven run needs no solver at
-all, only the matrix exponential of the constant generator (_expm).
+M(t) repeats with the drive period T = 2*pi/Omega, so evolve builds the
+affine propagator over one period only and reaches every later sample
+through integer powers of it.  The one-period propagator is a product of
+fourth-order Magnus steps, each the matrix exponential (_expm) of a
+closed-form exponent, with as many steps as the whole run's error budget
+tol needs; an undriven run takes powers of one exponential.  The package
+runs on numpy alone.
 
-solve_ivp, the one-period solver, is a module attribute resolved on first
-access (PEP 562 __getattr__): importing scipy.integrate costs about as
-much as numpy itself, and only a driven evolve needs it, so every other
-use of the package runs on numpy alone.  evolve looks the name up on the
-module at each call, so replacing dynamics.solve_ivp (to count or record
-its calls) takes effect.
+evolve calls no ODE solver.  dynamics.solve_ivp (scipy's) stays a module
+attribute only because perfbench's tracer swaps that name to count solver
+calls; it is resolved on first access (PEP 562 __getattr__), so that
+importing the package loads no scipy.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 
@@ -60,6 +60,10 @@ class Trajectory:
     s: np.ndarray          # shape (n, 3)
     entropy: np.ndarray    # linear entropy (1 - s.s)/2
     entropy_rate: np.ndarray
+    # driven runs only: Magnus steps per period and the estimated error
+    # of the one-period propagator (max row sum over the s rows)
+    substeps: int | None = None
+    period_error: float | None = None
 
     def __len__(self):
         return len(self.t)
@@ -112,17 +116,19 @@ _EXPM_TERMS = 14
 def _expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential e^a by a Taylor series with scaling and squaring.
 
-    b = a/2^s has 1-norm <= 1/2, and E = e^b - I = b(I + b/2(I + b/3(...)))
-    is summed by Horner's rule.  The squarings carry E itself, as
-    (I + E)^2 = I + (2E + E^2), so the low bits of e^b next to the identity
-    are not rounded away; once an entry of E reaches 1/2, e^b is no longer
-    near I and the remaining squarings act on I + E, which keeps entries
-    that decay toward 0 from rounding against 1.
+    a is one square matrix or a stack of them, shape (..., n, n); a stack
+    shares the scaling of its largest 1-norm.  b = a/2^s has 1-norm <= 1/2,
+    and E = e^b - I = b(I + b/2(I + b/3(...))) is summed by Horner's rule.
+    The squarings carry E itself, as (I + E)^2 = I + (2E + E^2), so the
+    low bits of e^b next to the identity are not rounded away; once an
+    entry of E reaches 1/2, e^b is no longer near I and the remaining
+    squarings act on I + E, which keeps entries that decay toward 0 from
+    rounding against 1.
     """
-    norm = float(np.abs(a).sum(axis=0).max())
+    norm = float(np.abs(a).sum(axis=-2).max())
     s = max(0, math.ceil(math.log2(norm / _EXPM_NORM))) if norm else 0
     b = a / 2.0 ** s
-    eye = np.eye(len(a))
+    eye = np.eye(a.shape[-1])
     e = np.zeros_like(b)
     for k in range(_EXPM_TERMS, 0, -1):
         e = b @ (eye + e) / k
@@ -133,6 +139,100 @@ def _expm(a: np.ndarray) -> np.ndarray:
     for _ in range(s):
         m = m @ m
     return m
+
+
+# the first Magnus step count has h*(|A0|_1 + |A1|_1) <= _MAGNUS_NORM.
+# Rounding in the step product grows with the count, from ~1e-14 per
+# period at 1024 steps; past _MAX_SUBSTEPS it outgrows the truncation
+# error that more steps would remove, so the count stops there.
+_MAGNUS_NORM = 0.5
+_MAX_SUBSTEPS = 2 ** 13
+_GAUSS_OFFSET = math.sqrt(3.0) / 6.0
+
+
+def _magnus_exponents(a0, a1, omega, start, width):
+    """Fourth-order Magnus exponents of A(t) = A0 + cos(Omega t) A1, one
+    per interval [start, start + width] (arrays), shape (k, 4, 4).
+
+    With c1, c2 the cosines at the two Gauss points t1 < t2 of a step of
+    width h, the exponent h/2 (A(t1) + A(t2)) - sqrt(3)/12 h^2 [A(t1), A(t2)]
+    (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)) reads
+    h A0 + h (c1 + c2)/2 A1 + sqrt(3)/12 h^2 (c1 - c2) [A0, A1].
+    """
+    h = np.asarray(width, dtype=float)[:, None, None]
+    mid = np.asarray(start, dtype=float)[:, None, None] + 0.5 * h
+    c1 = np.cos(omega * (mid - _GAUSS_OFFSET * h))
+    c2 = np.cos(omega * (mid + _GAUSS_OFFSET * h))
+    return (h * a0 + 0.5 * h * (c1 + c2) * a1
+            + math.sqrt(3.0) / 12.0 * h * h * (c1 - c2) * (a0 @ a1 - a1 @ a0))
+
+
+def _step_tree(a0, a1, omega, span, n):
+    """Levels of the tree product of n uniform Magnus steps over [0, span].
+
+    Level 0 holds the n step propagators, exponentiated in one batched
+    _expm call; level j holds the products of 2^j consecutive steps,
+    later steps on the left, and the last level Phi(span) alone.  n is a
+    power of two.
+    """
+    h = span / n
+    steps = _expm(_magnus_exponents(a0, a1, omega, np.arange(n) * h,
+                                    np.full(n, h)))
+    levels = [steps]
+    while len(steps) > 1:
+        steps = steps[1::2] @ steps[::2]
+        levels.append(steps)
+    return levels
+
+
+def _prefix_products(levels, m: np.ndarray) -> np.ndarray:
+    """Phi(m h), the product of the first m steps, for each m in 0..n.
+
+    Bit j of m, highest first, appends the level-j node that covers the
+    next 2^j steps: one masked batch product per level.  k = m >> j counts
+    the steps covered so far in units of 2^j, so the node is k - 1 when
+    bit j is set (when k = 0 the index -1 is read and masked out).
+    """
+    phi = np.broadcast_to(np.eye(4), (len(m), 4, 4))
+    for j in range(len(levels) - 1, -1, -1):
+        k = m >> j
+        phi = np.where((k & 1).astype(bool)[:, None, None],
+                       levels[j][k - 1] @ phi, phi)
+    return phi
+
+
+def _one_period(a0, a1, omega, span, periods, tol):
+    """Step tree of the one-period propagator and its error estimate.
+
+    Starts from the power-of-two step count n at which h*(|A0|_1 + |A1|_1)
+    <= 1/2, or from half of _MAX_SUBSTEPS if that is smaller.  The
+    fourth-order error e(N) = c N^-4 of Phi(span) is fitted to the
+    difference of the n- and 2n-step products, e(n) - e(2n) = 15/16 c n^-4,
+    and the count doubles from 2n until periods * e(N) <= tol, so tol
+    bounds the whole run.  e is the max row sum over the s rows, which
+    bounds the error Phi adds to s per period.  Past _MAX_SUBSTEPS one
+    RegimeWarning names the estimate reached.
+    """
+    norm = np.abs(a0).sum(axis=0).max() + np.abs(a1).sum(axis=0).max()
+    n = min(2 ** max(0, math.ceil(math.log2(span * norm / _MAGNUS_NORM))),
+            _MAX_SUBSTEPS // 2)
+    coarse = _step_tree(a0, a1, omega, span, n)[-1][0]
+    levels = _step_tree(a0, a1, omega, span, 2 * n)
+    diff = float(np.abs(levels[-1][0, :3] - coarse[:3]).sum(axis=1).max())
+    c = 16.0 / 15.0 * diff * float(n) ** 4
+    count = 2 * n
+    while count < _MAX_SUBSTEPS and periods * c / float(count) ** 4 > tol:
+        count *= 2
+    error = c / float(count) ** 4
+    if periods * error > tol:
+        warnings.warn(
+            f"the one-period propagator stops at {count} Magnus steps with "
+            f"an error estimate of {error:.3e} per period; over {periods} "
+            f"periods that is {periods * error:.3e}, above tol = {tol:.3e}",
+            RegimeWarning, stacklevel=3)
+    if count > 2 * n:
+        levels = _step_tree(a0, a1, omega, span, count)
+    return levels, error
 
 
 def _apply_powers(step: np.ndarray, n: np.ndarray,
@@ -181,10 +281,14 @@ def evolve(bath: BathSpec, drive: Drive, s0, t_max: float, dt_out: float,
     cos(Omega t) A1.  A is periodic with the drive period T = 2*pi/Omega,
     so its propagator factors as Phi(n*T + tau) = Phi(tau) Phi(T)^n
     (Floquet; Grifoni & Hanggi, Phys. Rep. 304, 229 (1998)).  Phi is
-    integrated once, over [0, T] or over [0, t_max] when t_max < T, by
-    DOP853 at rtol = atol = tol/10, and read at the drive phases tau of
-    the samples; Phi(T)^n (s0, 1) comes from binary powering, so the cost
-    does not grow with t_max / T.  An undriven run calls no solver:
+    built once, over [0, T] or over [0, t_max] when t_max < T, from N
+    uniform fourth-order Magnus steps: Phi(T) is their tree product, and
+    Phi(tau) at a sample's phase the product of the first floor(tau/h)
+    steps times one partial step.  N is the smallest power of two at
+    which ceil(t_max/T) times the one-period error estimate is <= tol
+    (see _one_period); the result records N (substeps) and the estimate
+    (period_error).  Phi(T)^n (s0, 1) comes from binary powering, so the
+    cost does not grow with t_max / T.  An undriven run needs no steps:
     sample k is exp(A0*dt_out)^k (s0, 1).
 
     The full time-dependent coherent block is kept (no rotating frame),
@@ -212,6 +316,7 @@ def evolve(bath: BathSpec, drive: Drive, s0, t_max: float, dt_out: float,
     t_eval = t_eval[t_eval <= t_max]
     v0 = np.append(s0, 1.0)
     driven = a1.any()
+    substeps = period_error = None
     if not driven:
         step = _expm(a0 * dt_out)
         s = _apply_powers(step, np.arange(len(t_eval)), v0)[:3].T
@@ -221,23 +326,17 @@ def evolve(bath: BathSpec, drive: Drive, s0, t_max: float, dt_out: float,
         n = np.floor(t_eval / period).astype(np.int64)
         # t - n*T may round a hair outside [0, span]
         tau = np.clip(t_eval - n * period, 0.0, span)
-        phases, which = np.unique(np.append(tau, span), return_inverse=True)
-
-        def rhs(t, phi):
-            return ((a0 + math.cos(omega * t) * a1)
-                    @ phi.reshape(4, 4)).ravel()
-
-        # safety factor 10 keeps the drift of Phi(T)^n within ~10*tol over
-        # hundreds of periods, not just the per-step error
-        solve_ivp = sys.modules[__name__].solve_ivp
-        sol = solve_ivp(rhs, (0.0, span), np.eye(4).ravel(), method="DOP853",
-                        rtol=0.1 * tol, atol=0.1 * tol, t_eval=phases)
-        if not sol.success:
-            raise IntegrationDivergedError(sol.message)
-        phi = sol.y.T.reshape(-1, 4, 4)
-        step = phi[-1]
+        levels, period_error = _one_period(a0, a1, omega, span,
+                                           math.ceil(t_max / period), tol)
+        substeps = len(levels[0])
+        h = span / substeps
+        phases, which = np.unique(tau, return_inverse=True)
+        m = np.minimum(np.floor(phases / h).astype(np.int64), substeps)
+        phi = (_expm(_magnus_exponents(a0, a1, omega, m * h, phases - m * h))
+               @ _prefix_products(levels, m))
+        step = levels[-1][0]
         v = _apply_powers(step, n, v0)
-        s = np.einsum("kij,jk->ki", phi[which[:-1], :3], v)
+        s = np.einsum("kij,jk->ki", phi[which, :3], v)
     norms = np.linalg.norm(s, axis=1)
     if np.any(norms > 1.0 + 100.0 * tol):
         # a run shorter than one period never iterates Phi(t_max)
@@ -249,7 +348,8 @@ def evolve(bath: BathSpec, drive: Drive, s0, t_max: float, dt_out: float,
 
     entropy = 0.5 * (1.0 - np.einsum("ij,ij->i", s, s))
     return Trajectory(t_eval, s, entropy,
-                      _entropy_rate(s, gamma_eff, a0[2, 3]))
+                      _entropy_rate(s, gamma_eff, a0[2, 3]),
+                      substeps, period_error)
 
 
 def steady_state(bath: BathSpec) -> BlochState:

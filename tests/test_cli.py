@@ -261,6 +261,26 @@ class TestEvolve:
         excess = float(err.split("|s| reached 1 + ")[1].split(",")[0])
         assert excess > 100 * 1e-9
 
+    def test_driven_header_records_substeps(self, tmp_path):
+        out = tmp_path / "dd.csv"
+        argv = ["evolve", "--drive", "dd", "--amp-ratio", "2.4", "--omega",
+                "100", "--t-max", "20", "--dt-out", "0.5", "--out", str(out)]
+        assert main(argv) == 0
+        first = out.read_bytes()
+        comments, _, _ = read_csv(out)
+        (substeps,) = [c for c in comments if c.startswith("# substeps = ")]
+        (error,) = [c for c in comments if c.startswith("# period_error = ")]
+        n = int(substeps.split(" = ")[1])
+        assert n > 0 and n & (n - 1) == 0
+        periods = math.ceil(20.0 * 100.0 / (2.0 * math.pi))
+        assert 0.0 < periods * float(error.split(" = ")[1]) <= 1e-9
+        assert main(argv) == 0
+        assert out.read_bytes() == first
+        assert main(["evolve", "--t-max", "5", "--out", str(out)]) == 0
+        comments, _, _ = read_csv(out)
+        assert not [c for c in comments
+                    if c.startswith(("# substeps", "# period_error"))]
+
     def test_bad_s0_is_usage_error(self):
         assert main(["evolve", "--s0", "1,0"]) == 2
 

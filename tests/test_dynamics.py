@@ -8,7 +8,8 @@ from scipy import linalg
 
 from drivenqubit import dynamics
 from drivenqubit import (BathSpec, Drive, IntegrationDivergedError,
-                         NoSteadyStateError, average_entropy_production,
+                         NoSteadyStateError, RegimeWarning,
+                         average_entropy_production,
                          decay_eigenvalues, effective_rate, evolve, rate_cdt,
                          rate_dd, rate_static, steady_state)
 
@@ -174,6 +175,17 @@ def _reference(bath, drive, s0, times, tol):
                            times, tol)
 
 
+@pytest.fixture(scope="module", params=["dd", "cdt"])
+def long_run(request):
+    """bath, drive, s0 and bloch_reference states at t = 0, 1, ..., 200
+    for Omega = 100, x = 2.4 (3183 drive periods); once per drive, as the
+    CDT reference takes ~25 s."""
+    bath = make_bath()
+    d = Drive.from_ratio(request.param, 2.4, 100.0)
+    s0 = (0.0, 0.6, 0.6)
+    return bath, d, s0, _reference(bath, d, s0, np.arange(201.0), 1e-12)
+
+
 class TestFloquetPropagator:
 
     S0 = (0.3, -0.4, 0.5)
@@ -219,23 +231,70 @@ class TestFloquetPropagator:
             want = (expm_series(a * t) @ v0).real[:3]
             assert np.max(np.abs(s - want)) < 1e-13
 
-    @pytest.mark.parametrize("periods", [0.3, 1.0, 250.0])
-    def test_driven_run_makes_one_solver_call_within_a_period(
-            self, monkeypatch, periods):
-        calls = []
-        solve_ivp = dynamics.solve_ivp
+    @pytest.mark.parametrize("kind", ["dd", "cdt"])
+    def test_magnus_error_is_fourth_order(self, kind):
+        # the one-period error goes as N^-4, so each doubling cuts it ~16x
+        bath = make_bath()
+        d = Drive.from_ratio(kind, 2.4, 100.0)
+        _, a0, a1 = dynamics._generator(bath, d)
+        want = _reference(bath, d, self.S0, [0.0, d.period], 1e-12)[-1]
+        v0 = np.append(self.S0, 1.0)
+        errors = []
+        for n in (32, 64, 128, 256):
+            phi = dynamics._step_tree(a0, a1, d.omega, d.period, n)[-1][0]
+            errors.append(np.max(np.abs((phi @ v0)[:3] - want)))
+        assert all(coarse >= 12 * fine
+                   for coarse, fine in zip(errors, errors[1:]))
 
-        def recording(fun, t_span, *args, **kwargs):
-            calls.append(t_span)
-            return solve_ivp(fun, t_span, *args, **kwargs)
+    def test_prefix_products_match_running_product(self):
+        _, a0, a1 = dynamics._generator(make_bath(),
+                                        Drive.from_ratio("cdt", 2.4, 100.0))
+        levels = dynamics._step_tree(a0, a1, 100.0, 0.05, 16)
+        running = [np.eye(4)]
+        for step in levels[0]:
+            running.append(step @ running[-1])
+        got = dynamics._prefix_products(levels, np.arange(17))
+        assert np.max(np.abs(got - running)) <= 1e-14
+        assert np.array_equal(got[-1], levels[-1][0])
 
-        monkeypatch.setattr(dynamics, "solve_ivp", recording)
-        d = Drive.from_ratio("cdt", 2.4, 100.0)
-        evolve(make_bath(), d, self.S0, periods * d.period, 0.01)
-        assert len(calls) == 1
-        assert calls[0][1] <= d.period
-        evolve(make_bath(), Drive.none(), self.S0, 100.0, 0.01)
-        assert len(calls) == 1
+    @pytest.mark.parametrize("tol", [1e-9, 1e-10])
+    def test_tol_bounds_the_whole_run(self, long_run, tol):
+        # when tol bounded one period only, CDT here was 19*tol off
+        bath, d, s0, want = long_run
+        traj = evolve(bath, d, s0, 200.0, 1.0, tol=tol)
+        assert np.max(np.abs(traj.s - want)) <= 10 * tol
+        assert math.ceil(200.0 / d.period) * traj.period_error <= tol
+
+    @pytest.mark.parametrize("kind", ["dd", "cdt"])
+    @pytest.mark.parametrize("x", [20.0, 50.0])
+    def test_large_drive_amplitude(self, kind, x):
+        bath = make_bath()
+        d = Drive.from_ratio(kind, x, 100.0)
+        tol = 1e-10
+        traj = evolve(bath, d, self.S0, 5 * d.period, d.period / 7, tol=tol)
+        want = _reference(bath, d, self.S0, traj.t, 1e-12)
+        assert np.max(np.abs(traj.s - want)) <= 10 * tol
+
+    def test_records_substeps_and_period_error(self):
+        d = Drive.from_ratio("dd", 2.4, 100.0)
+        traj = evolve(make_bath(), d, self.S0, 20.0, 0.5, tol=1e-10)
+        assert traj.substeps & (traj.substeps - 1) == 0
+        assert 0.0 < math.ceil(20.0 / d.period) * traj.period_error <= 1e-10
+        short = evolve(make_bath(), d, self.S0, 0.3 * d.period, 0.001)
+        assert short.substeps < traj.substeps
+        undriven = evolve(make_bath(), Drive.none(), self.S0, 5.0, 0.5)
+        assert undriven.substeps is None and undriven.period_error is None
+
+    def test_step_cap_warns_with_its_estimate(self):
+        # 3183 periods at tol = 1e-12 ask for ~3e-16 per period, below the
+        # rounding of the step product
+        d = Drive.from_ratio("dd", 2.4, 100.0)
+        with pytest.warns(RegimeWarning) as record:
+            traj = evolve(make_bath(), d, self.S0, 200.0, 1.0, tol=1e-12)
+        assert len(record) == 1
+        assert traj.substeps == dynamics._MAX_SUBSTEPS
+        assert f"error estimate of {traj.period_error:.3e} per period" \
+            in str(record[0].message)
 
     def test_divergence_names_fixed_point_outside_ball(self):
         # J0 zero at a low temperature: Gamma_DD < pi*alpha*Delta puts the

@@ -1,5 +1,5 @@
 """The public surface: every name in drivenqubit.__all__ resolves, and
-the import chain stays numpy-only until a driven evolve."""
+no command loads scipy."""
 
 import os
 import subprocess
@@ -33,18 +33,21 @@ for argv in (["rates", "--drive", "dd", "--amp-ratio", "2.4"],
              ["scan", "--sweep", "omega", "--min", "10", "--max", "1e4",
               "--points", "5", "--drive", "dd", "--amp-ratio", "2.4"],
              ["fig1"],
-             ["evolve", "--t-max", "5"]):
+             ["evolve", "--t-max", "5"],
+             ["evolve", "--drive", "dd", "--amp-ratio", "2.4", "--t-max", "1"],
+             ["evolve", "--drive", "cdt", "--amp-ratio", "2.4", "--s0=0,0,0",
+              "--t-max", "1"]):
     assert cli.main(argv + ["--out", out]) == 0, argv
     assert scipy_modules() == [], (argv, scipy_modules())
-assert cli.main(["evolve", "--drive", "dd", "--amp-ratio", "2.4",
-                 "--t-max", "1", "--out", out]) == 0
+# solve_ivp stays a module attribute, imported on first access
+solve_ivp = dynamics.solve_ivp
 assert "scipy.integrate" in scipy_modules()
 import scipy.integrate
-assert dynamics.solve_ivp is scipy.integrate.solve_ivp
+assert solve_ivp is scipy.integrate.solve_ivp
 """
 
 
-def test_only_a_driven_evolve_loads_scipy(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     src = os.path.dirname(os.path.dirname(drivenqubit.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     result = subprocess.run(
