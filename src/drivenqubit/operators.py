@@ -90,16 +90,6 @@ class QubitOperator:
     def isclose(self, other: "QubitOperator", tol: float = 1e-12) -> bool:
         return bool(np.max(np.abs(self.matrix() - other.matrix())) <= tol)
 
-    def isclose_up_to_phase(self, other: "QubitOperator",
-                            tol: float = 1e-12) -> bool:
-        """Compare two operators modulo a global complex phase."""
-        a, b = self.matrix(), other.matrix()
-        overlap = np.trace(a.conj().T @ b)
-        if abs(overlap) <= tol:
-            return bool(np.max(np.abs(a)) <= tol and np.max(np.abs(b)) <= tol)
-        phase = overlap / abs(overlap)
-        return bool(np.max(np.abs(a * phase - b)) <= tol)
-
 
 IDENTITY = QubitOperator(1.0, 0.0, 0.0, 0.0)
 SIGMA_X = QubitOperator(0.0, 1.0, 0.0, 0.0)

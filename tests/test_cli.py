@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drivenqubit import RegimeWarning, rates
-from drivenqubit.cli import _CHUNK_ROWS, FLOAT_FMT, _write_csv, main
+from drivenqubit.cli import (_CHUNK_ROWS, FLOAT_FMT, _format_fields,
+                             _write_csv, build_parser, main)
 
 from _oracles import bessel_series, coth_exp, rate_dd_series
 
@@ -127,9 +129,16 @@ class TestScan:
                      "--temperature", "1", "--out", "-"]) == 0
         assert list(tmp_path.iterdir()) == []
         out = capsys.readouterr().out
-        assert "# temperature = 0.1\n" in out
-        assert "# temperature = 1.0\n" in out
+        first = out.index("# temperature = 0.1\n")
+        assert out.index("# temperature = 1.0\n") > first
         assert out.count("omega,delta_eff") == 2
+        # each table's two data lines follow its own header
+        lines = out.splitlines()
+        tables = [i for i, line in enumerate(lines)
+                  if line.startswith("omega,")]
+        assert [lines[i + 1].split(",")[0] for i in tables] == \
+            [FLOAT_FMT % 10.0] * 2
+        assert len(lines) == tables[1] + 3
 
     def test_one_harmonic_sum_per_dd_file(self, tmp_path, monkeypatch):
         calls = []
@@ -377,12 +386,31 @@ class TestConfigFile:
             assert len(mantissa.replace("-", "").replace(".", "")) == 9
 
 
+_POWERS_OF_TEN = np.array([float(f"1e{k}") for k in range(-323, 309)])
+_RNG = np.random.default_rng(5)
+
+
 @pytest.mark.parametrize("rows", [
     np.empty((0, 3)),
     np.array([[1.0, -2.5e-300, 3.0]]),
-    np.random.default_rng(5).normal(size=(_CHUNK_ROWS + 3, 3)) * 1e5,
+    _RNG.normal(size=(_CHUNK_ROWS + 3, 3)) * 1e5,
     np.array([[np.nan, np.inf, -np.inf], [0.0, -0.0, 1e308]]),
-], ids=["empty", "one-row", "across-chunks", "nan-inf"])
+    # exact decimal ties: k/256 has up to 8 digits after the point
+    (np.arange(3 * 3000) / 256).reshape(-1, 3),
+    np.column_stack([_POWERS_OF_TEN, np.nextafter(_POWERS_OF_TEN, 0.0),
+                     -np.nextafter(_POWERS_OF_TEN, np.inf)]),
+    np.append(_RNG.integers(1, 2**52, size=600, dtype=np.uint64)
+              .view(np.float64), [5e-324, 1.7976931348623157e308,
+                                  -2.2250738585072014e-308]).reshape(-1, 3),
+    _RNG.normal(size=(3 * _CHUNK_ROWS + 7, 3))
+    * 10.0 ** _RNG.uniform(-300, 300, size=(3 * _CHUNK_ROWS + 7, 3)),
+    # 10 significant digits ending in 5, rounded to binary: within an ulp
+    # of a tie, on either side
+    (_RNG.integers(10**8, 10**9, size=(400, 3)) + 0.5)
+    * 10.0 ** _RNG.integers(-300, 290, size=(400, 3)).astype(float),
+], ids=["empty", "one-row", "across-chunks", "nan-inf", "k/256-ties",
+        "powers-of-ten-ulp", "subnormal-extremes", "several-chunks",
+        "near-ties"])
 def test_csv_rows_are_savetxt_bytes(tmp_path, rows):
     out = tmp_path / "rows.csv"
     _write_csv(str(out), ["# a comment"], ["a", "b", "c"], rows)
@@ -390,3 +418,27 @@ def test_csv_rows_are_savetxt_bytes(tmp_path, rows):
     np.savetxt(expected, rows, fmt=FLOAT_FMT, delimiter=",")
     assert out.read_bytes() == \
         ("# a comment\na,b,c\n" + expected.getvalue()).encode()
+
+
+def _bits_to_float(bits):
+    return float(np.array(bits, np.uint64).view(np.float64))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 2**64 - 1).map(_bits_to_float)
+                | st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0]),
+                min_size=1, max_size=40))
+def test_fields_are_percent_bytes(values):
+    # raw float64 bit patterns: subnormals, nan payloads, every exponent
+    assert _format_fields(np.array([values])) == \
+        ",".join(FLOAT_FMT % v for v in values) + "\n"
+
+
+def test_parser_is_built_once(tmp_path):
+    assert build_parser() is build_parser()
+    for temperature in ("2", "3"):
+        out = tmp_path / f"T{temperature}.csv"
+        assert main(["rates", "--temperature", temperature,
+                     "--out", str(out)]) == 0
+        comments, _, _ = read_csv(out)
+        assert f"# temperature = {float(temperature)}" in comments
