@@ -3,7 +3,7 @@
 A single qubit with level splitting Delta (the frequency unit; hbar =
 k_B = 1) couples through sigma_x to an Ohmic bath.  The package provides
 the exact Pauli algebra, the bath spectra, the high-frequency driven
-propagators and effective couplings, the closed-form decoherence rates
+propagator and effective coupling, the closed-form decoherence rates
 for sigma_x (tunneling-suppressing) and sigma_z (decoupling) drives,
 Bloch-vector time evolution with entropy diagnostics, and a CLI that
 writes coherence-stabilization sweeps as CSV.
@@ -12,10 +12,8 @@ writes coherence-stabilization sweeps as CSV.
 __version__ = "0.1.0"
 
 from .bath import BathSpec, RegimeWarning, power_spectrum
-from .driving import (CDT, DD, NONE, Drive, bessel_j, cdt_propagator,
-                      dd_propagator, effective_coupling_cdt,
-                      effective_coupling_dd, effective_splitting,
-                      numeric_q_oracle)
+from .driving import (CDT, DD, NONE, Drive, bessel_j, effective_splitting,
+                      numeric_q_oracle, propagator)
 from .dynamics import (DecaySpectrum, IntegrationDivergedError,
                        NoSteadyStateError, Trajectory,
                        average_entropy_production, decay_eigenvalues, evolve,
@@ -23,22 +21,20 @@ from .dynamics import (DecaySpectrum, IntegrationDivergedError,
 from .operators import (BlochState, InvalidStateError, QubitOperator,
                         SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY,
                         bloch_from_density, conjugate, pauli_rotation)
-from .rates import (RateReport, build_report, effective_rate, rate_cdt,
-                    rate_dd, rate_static, stabilization_eta,
-                    stabilization_eta_cdt, trace_bound)
+from .rates import (RateReport, build_report, effective_coupling,
+                    effective_rate, rate_cdt, rate_dd, rate_static,
+                    stabilization_eta, trace_bound)
 
 __all__ = [
     "BathSpec", "RegimeWarning", "power_spectrum",
-    "CDT", "DD", "NONE", "Drive", "bessel_j", "cdt_propagator",
-    "dd_propagator", "effective_coupling_cdt", "effective_coupling_dd",
-    "effective_splitting", "numeric_q_oracle",
+    "CDT", "DD", "NONE", "Drive", "bessel_j", "effective_splitting",
+    "numeric_q_oracle", "propagator",
     "DecaySpectrum", "IntegrationDivergedError", "NoSteadyStateError",
     "Trajectory", "average_entropy_production", "decay_eigenvalues",
     "evolve", "steady_state",
     "BlochState", "InvalidStateError", "QubitOperator", "SIGMA_X",
     "SIGMA_Y", "SIGMA_Z", "IDENTITY", "bloch_from_density", "conjugate",
     "pauli_rotation",
-    "RateReport", "build_report", "effective_rate", "rate_cdt", "rate_dd",
-    "rate_static", "stabilization_eta", "stabilization_eta_cdt",
-    "trace_bound",
+    "RateReport", "build_report", "effective_coupling", "effective_rate",
+    "rate_cdt", "rate_dd", "rate_static", "stabilization_eta", "trace_bound",
 ]

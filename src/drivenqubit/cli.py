@@ -10,6 +10,10 @@ Subcommands
 Configuration may come from a flat "key = value" file (--config); any
 flag given on the command line wins over the file, and the file wins over
 the defaults (fig1 has its own defaults for temperature and amp_ratio).
+A file's drive, sweep and spacing values pass the same choice checks as
+the flags.  A driven rates report and a driven scan carry the
+stabilization factor eta of either drive kind, labelled 'eta' for DD and
+'eta_cdt' for CDT.
 scan and fig1 evaluate their whole parameter grid as arrays, one harmonic
 sum per output file; each RegimeWarning is raised once per grid with the
 number of points that tripped it.  The DD harmonic sum picks its own
@@ -37,7 +41,7 @@ import numpy as np
 
 from . import __version__
 from .bath import BathSpec
-from .driving import CDT, DD, NONE, Drive, _harmonic_count
+from .driving import _KINDS, CDT, DD, NONE, Drive, _harmonic_count
 from .dynamics import IntegrationDivergedError, evolve
 from .rates import build_report, stabilization_eta
 
@@ -78,6 +82,14 @@ def _ascii_words():
 _DIGITS4, _EXP4 = _ascii_words()
 
 
+# the name of the eta column in a CSV, and of its line in the rates report
+_ETA_COLUMNS = {DD: "eta", CDT: "eta_cdt"}
+
+# the values --drive, --sweep and --spacing take, from a flag or a config file
+_SWEEPS = ("omega", "amp_ratio", "temperature", "alpha")
+_SPACINGS = ("linear", "log")
+
+
 def _fmt(x: float) -> str:
     return FLOAT_FMT % x
 
@@ -97,11 +109,22 @@ def _read_config(path: str) -> dict:
     return values
 
 
+def _choice(choices: tuple):
+    """Config parser for a value from choices; dashes read as underscores,
+    as in the keys."""
+    def parse(value: str) -> str:
+        if value.replace("-", "_") not in choices:
+            raise ValueError(f"invalid choice {value!r} (choose from "
+                             f"{', '.join(choices)})")
+        return value
+    return parse
+
+
 _CONFIG_PARSERS = {
     "alpha": float,
     "omega_c": float,
     "temperature": lambda v: [float(x) for x in v.split(",")],
-    "drive": str,
+    "drive": _choice(_KINDS),
     "amp_ratio": float,
     "omega": float,
     "tol": float,
@@ -109,11 +132,11 @@ _CONFIG_PARSERS = {
     "s0": str,
     "t_max": float,
     "dt_out": float,
-    "sweep": str,
+    "sweep": _choice(_SWEEPS),
     "min": float,
     "max": float,
     "points": int,
-    "spacing": str,
+    "spacing": _choice(_SPACINGS),
 }
 
 
@@ -126,7 +149,7 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--temperature", type=float, action="append",
                         default=None,
                         help="temperature in hbar*Delta/k_B; repeatable")
-    parser.add_argument("--drive", choices=[NONE, CDT, DD], default=None,
+    parser.add_argument("--drive", choices=_KINDS, default=None,
                         help="drive kind (default none)")
     parser.add_argument("--amp-ratio", type=float, default=None,
                         help="dimensionless drive strength x = 2A/Omega")
@@ -313,9 +336,7 @@ def cmd_rates(args) -> int:
     print(f"gamma (tr M) : {_fmt(report.gamma_trace)}  [Delta]")
     print(f"Gamma_av     : {_fmt(report.gamma_avg)}  [Delta]")
     if report.eta is not None:
-        print(f"eta          : {_fmt(report.eta)}")
-    if report.eta_cdt is not None:
-        print(f"eta_cdt      : {_fmt(report.eta_cdt)}")
+        print(f"{_ETA_COLUMNS[drive.kind]:<13}: {_fmt(report.eta)}")
 
     if cfg["out"]:
         header = ["temperature", "delta_eff", "gamma_eff", "gamma",
@@ -323,11 +344,8 @@ def cmd_rates(args) -> int:
         row = [temperature, report.delta_eff, report.gamma_relax,
                report.gamma_trace, report.gamma_avg]
         if report.eta is not None:
-            header.append("eta")
+            header.append(_ETA_COLUMNS[drive.kind])
             row.append(report.eta)
-        if report.eta_cdt is not None:
-            header.append("eta_cdt")
-            row.append(report.eta_cdt)
         _write_csv(cfg["out"], _config_comments(cfg), header, [row])
     return 0
 
@@ -349,14 +367,10 @@ def cmd_scan(args) -> int:
     cfg = _resolve(args)
     values = _sweep_values(cfg)
     param = cfg["sweep"].replace("-", "_")
-    if param not in ("omega", "amp_ratio", "temperature", "alpha"):
-        raise ValueError(f"cannot sweep parameter {param!r}")
 
     header = [param, "delta_eff", "gamma_eff", "gamma"]
-    if cfg["drive"] == DD:
-        header.append("eta")
-    elif cfg["drive"] == CDT:
-        header.append("eta_cdt")
+    if cfg["drive"] in _ETA_COLUMNS:
+        header.append(_ETA_COLUMNS[cfg["drive"]])
     eta_note = ("# reference: eta = 0.25 (improvement on average), "
                 "eta = 1 (improvement for any initial state)")
 
@@ -371,8 +385,8 @@ def cmd_scan(args) -> int:
         report = build_report(bath, drive)
         columns = [values, report.delta_eff, report.gamma_relax,
                    report.gamma_trace]
-        columns += [eta for eta in (report.eta, report.eta_cdt)
-                    if eta is not None]
+        if report.eta is not None:
+            columns.append(report.eta)
         rows = np.column_stack(np.broadcast_arrays(*columns))
 
         path = cfg["out"]
@@ -460,12 +474,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="sweep one parameter, write CSV")
     _add_common(p)
     p.add_argument("--sweep", default=None,
-                   choices=["omega", "amp_ratio", "temperature", "alpha"],
+                   choices=_SWEEPS,
                    help="parameter to sweep")
     p.add_argument("--min", type=float, default=None)
     p.add_argument("--max", type=float, default=None)
     p.add_argument("--points", type=int, default=None)
-    p.add_argument("--spacing", choices=["linear", "log"], default=None)
+    p.add_argument("--spacing", choices=_SPACINGS, default=None)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("evolve", help="integrate a Bloch trajectory")

@@ -1,10 +1,13 @@
-"""Harmonic driving fields, high-frequency propagators and effective couplings.
+"""Harmonic driving fields, the driven propagator and the DD harmonic sum.
 
-Two drive flavours are supported.  A field along sigma_x (the bath axis)
-produces coherent destruction of tunneling: the splitting renormalizes to
-Delta_eff = J0(2A/Omega)*Delta.  A field along sigma_z commutes with the
-qubit Hamiltonian and acts as continuous-wave dynamical decoupling.  The
-sole dimensionless drive strength used downstream is x = 2A/Omega.
+Two drive flavours are one model with a different drive axis.  A field
+along sigma_x (the bath axis) produces coherent destruction of tunneling:
+the splitting renormalizes to Delta_eff = J0(2A/Omega)*Delta.  A field
+along sigma_z commutes with the qubit Hamiltonian and acts as
+continuous-wave dynamical decoupling.  propagator and effective_splitting
+take either kind; the time-averaged coupling operator lives in rates
+(effective_coupling), next to the rates it is built from.  The sole
+dimensionless drive strength used downstream is x = 2A/Omega.
 
 Amplitudes and frequencies may be numpy arrays of parameter points; the
 rate functions then evaluate the whole grid in one broadcast.
@@ -18,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import BathSpec, _warn_points, power_spectrum
-from .operators import (ID2, PAULIS, SX, SZ, QubitOperator, SIGMA_X,
-                        pauli_rotation)
+from .operators import ID2, PAULIS, SX, SZ, QubitOperator, pauli_rotation
 
 NONE, CDT, DD = "none", "cdt", "dd"
 _KINDS = (NONE, CDT, DD)
@@ -160,46 +162,23 @@ def effective_splitting(drive: Drive) -> float:
     return 1.0
 
 
-def _require_kind(drive: Drive, kind: str):
-    if drive.kind != kind:
-        raise ValueError(f"expected a {kind!r} drive, got {drive.kind!r}")
+def propagator(drive: Drive, t: float, t0: float) -> QubitOperator:
+    """High-frequency propagator of a driven qubit, for either drive kind.
 
-
-def cdt_propagator(drive: Drive, t: float, t0: float) -> QubitOperator:
-    """High-frequency propagator for the sigma_x drive.
-
-    U(t, t0) = exp(-i*(A/Omega)*[sin(Omega t) - sin(Omega t0)]*sigma_x)
+    U(t, t0) = exp(-i*(A/Omega)*[sin(Omega t) - sin(Omega t0)]*sigma_axis)
              * exp(-i*(Delta_eff/2)*(t - t0)*sigma_z)
+
+    with axis x for CDT and z for DD.  For DD both factors commute and
+    Delta_eff = Delta, so U is exact; for CDT it is the leading order in
+    1/Omega.  Raises ValueError for an undriven Drive.
     """
-    _require_kind(drive, CDT)
-    d_eff = effective_splitting(drive)
+    if drive.kind == NONE:
+        raise ValueError("propagator needs a driven kind")
     phase = (drive.amplitude / drive.omega) * (
         math.sin(drive.omega * t) - math.sin(drive.omega * t0))
-    return (pauli_rotation(X_AXIS, 2.0 * phase)
-            @ pauli_rotation(Z_AXIS, d_eff * (t - t0)))
-
-
-def dd_propagator(drive: Drive, t: float, t0: float) -> QubitOperator:
-    """Exact propagator for the sigma_z drive (everything commutes).
-
-    U(t, t0) = exp(-i*(A/Omega)*[sin(Omega t) - sin(Omega t0)]*sigma_z)
-             * exp(-i*(Delta/2)*(t - t0)*sigma_z)
-    """
-    _require_kind(drive, DD)
-    phase = (drive.amplitude / drive.omega) * (
-        math.sin(drive.omega * t) - math.sin(drive.omega * t0))
-    return (pauli_rotation(Z_AXIS, 2.0 * phase)
-            @ pauli_rotation(Z_AXIS, t - t0))
-
-
-def effective_coupling_cdt(drive: Drive, bath: BathSpec) -> QubitOperator:
-    """Time-averaged coupling operator Q = S(|Delta_eff|)/2 * sigma_x.
-
-    |Delta_eff| because the power spectrum is even and J0 may be negative.
-    """
-    _require_kind(drive, CDT)
-    d_eff = effective_splitting(drive)
-    return 0.5 * power_spectrum(bath, abs(d_eff)) * SIGMA_X
+    axis = X_AXIS if drive.kind == CDT else Z_AXIS
+    return (pauli_rotation(axis, 2.0 * phase)
+            @ pauli_rotation(Z_AXIS, effective_splitting(drive) * (t - t0)))
 
 
 # The DD series is summed to a tail below _TAIL_TOL * S(Delta); past
@@ -258,12 +237,6 @@ def dd_harmonic_sum(drive: Drive, bath: BathSpec):
     harmonics = j2[1:] * power_spectrum(bath, w) * np.exp(-w / bath.omega_c)
     return (j2[0] * power_spectrum(bath, 1.0)
             + 2.0 * harmonics.sum(axis=0))[()]
-
-
-def effective_coupling_dd(drive: Drive, bath: BathSpec) -> QubitOperator:
-    """Time-averaged coupling operator for the sigma_z drive."""
-    _require_kind(drive, DD)
-    return 0.5 * dd_harmonic_sum(drive, bath) * SIGMA_X
 
 
 def _rotation_matrices(axis_mat: np.ndarray, half_angles: np.ndarray):

@@ -68,9 +68,6 @@ class Trajectory:
     def __len__(self):
         return len(self.t)
 
-    def state(self, i: int) -> BlochState:
-        return BlochState(tuple(self.s[i]), float(self.t[i]))
-
 
 def _generator(bath: BathSpec, drive: Drive):
     """Gamma_eff and the 4x4 A0, A1 with d/dt (s, 1) = A(t) (s, 1).

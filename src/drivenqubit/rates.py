@@ -1,6 +1,9 @@
 """Closed-form relaxation/decoherence rates and coherence measures.
 
-All rates are in units of Delta.  The trace of the Bloch decay matrix,
+All rates are in units of Delta.  effective_rate is the one dispatch on
+the drive kind: Gamma undriven, the CDT or DD closed form driven.  The
+effective coupling operator and the stabilization factor eta are built
+from it, so each takes either kind.  The trace of the Bloch decay matrix,
 gamma = 2*Gamma_eff, bounds every decoherence rate from above, and
 Gamma_av = gamma/3 is the entropy production averaged over pure states.
 
@@ -16,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import BathSpec, _warn_points, power_spectrum
-from .driving import (CDT, DD, NONE, Drive, _require_kind, dd_harmonic_sum,
+from .driving import (CDT, DD, NONE, Drive, dd_harmonic_sum,
                       effective_splitting)
+from .operators import SIGMA_X, QubitOperator
 
 
 @dataclass(frozen=True)
@@ -33,8 +37,12 @@ class RateReport:
     gamma_relax: float   # Gamma_eff, relaxation rate of the driven system
     gamma_trace: float   # gamma = tr M = 2*Gamma_eff
     gamma_avg: float     # gamma / 3
-    eta: float | None = None       # DD stabilization factor
-    eta_cdt: float | None = None   # CDT analogue (extension, kept separate)
+    eta: float | None = None   # stabilization factor; None undriven
+
+
+def _require_kind(drive: Drive, kind: str):
+    if drive.kind != kind:
+        raise ValueError(f"expected a {kind!r} drive, got {drive.kind!r}")
 
 
 def rate_static(bath: BathSpec) -> float:
@@ -81,21 +89,17 @@ def trace_bound(rate_eff: float) -> tuple[float, float]:
 
 
 def stabilization_eta(bath: BathSpec, drive: Drive) -> float:
-    """Coherence stabilization factor for dynamical decoupling.
+    """Coherence stabilization factor eta = (Gamma/2) / gamma_driven.
 
-    eta = (Gamma/2) / gamma_DD: the lowest decoherence rate without the
-    drive over the largest one with it.  eta > 1 guarantees improvement
-    for any initial state; eta > 1/4 improvement on average (eta = 1/4
-    exactly at A = 0).  Returns inf (with a warning) if the driven rate
-    vanishes, which needs T = 0, x at a J0 zero and all harmonics beyond
-    the cutoff.
+    The lowest decoherence rate without the drive over the largest one
+    with it, gamma_driven = 2*Gamma_eff, for either drive kind (for DD
+    the paper's eta, for CDT its analogue).  eta > 1 guarantees
+    improvement for any initial state; eta > 1/4 improvement on average
+    (eta = 1/4 exactly without a drive or at A = 0).  Returns inf (with a
+    warning) if the driven rate vanishes, which needs T = 0 and x at a J0
+    zero, and for DD also all harmonics beyond the cutoff.
     """
-    return _eta(rate_static(bath), rate_dd(drive, bath))
-
-
-def stabilization_eta_cdt(bath: BathSpec, drive: Drive) -> float:
-    """CDT analogue of the stabilization factor, (Gamma/2)/gamma_CDT."""
-    return _eta(rate_static(bath), rate_cdt(drive, bath))
+    return _eta(rate_static(bath), effective_rate(bath, drive))
 
 
 def _eta(rate_undriven, rate_driven):
@@ -110,7 +114,7 @@ def _eta(rate_undriven, rate_driven):
 
 
 def effective_rate(bath: BathSpec, drive: Drive) -> float:
-    """Gamma_eff for any drive kind (dispatch helper)."""
+    """Gamma_eff for any drive kind: the one dispatch on drive.kind."""
     if drive.kind == NONE:
         return rate_static(bath)
     if drive.kind == CDT:
@@ -118,15 +122,25 @@ def effective_rate(bath: BathSpec, drive: Drive) -> float:
     return rate_dd(drive, bath)
 
 
+def effective_coupling(drive: Drive, bath: BathSpec) -> QubitOperator:
+    """Time-averaged coupling operator Q = Gamma_eff * sigma_x.
+
+    For CDT Q = S(|Delta_eff|)/2 * sigma_x (|Delta_eff| because the power
+    spectrum is even and J0 may be negative); for DD its sigma_x weight is
+    the harmonic sum of rate_dd; undriven it is S(Delta)/2 * sigma_x.
+    numeric_q_oracle computes the same operator by brute force.
+    """
+    return effective_rate(bath, drive) * SIGMA_X
+
+
 def build_report(bath: BathSpec, drive: Drive) -> RateReport:
     """Assemble the full bundle for one parameter point or one grid.
 
-    eta (DD) or eta_cdt (CDT) is (Gamma/2)/(2*Gamma_eff) from the Gamma_eff
-    already computed, so a DD grid costs one harmonic sum.
+    eta is (Gamma/2)/(2*Gamma_eff) from the Gamma_eff already computed,
+    so a DD grid costs one harmonic sum; it is None without a drive.
     """
     gamma_eff = effective_rate(bath, drive)
     gamma, gamma_avg = trace_bound(gamma_eff)
     eta = None if drive.kind == NONE else _eta(rate_static(bath), gamma_eff)
     return RateReport(drive.kind, effective_splitting(drive), gamma_eff,
-                      gamma, gamma_avg, eta if drive.kind == DD else None,
-                      eta if drive.kind == CDT else None)
+                      gamma, gamma_avg, eta)

@@ -62,6 +62,20 @@ class TestRates:
                      "--omega", "10"]) == 2
         assert "x = 2A/Omega = 800" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("drive, label", [
+        ("none", None), ("dd", "eta"), ("cdt", "eta_cdt")])
+    def test_eta_label_names_the_drive(self, tmp_path, capsys, drive, label):
+        out = tmp_path / "rates.csv"
+        assert main(["rates", "--drive", drive, "--amp-ratio", "1.0",
+                     "--omega", "1000", "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        _, header, _ = read_csv(out)
+        if label is None:
+            assert len(lines) == 5 and header[-1] == "gamma_avg"
+        else:
+            assert len(lines) == 6 and header[-1] == label
+            assert lines[-1].startswith(f"{label:<13}: ")
+
     def test_harmonic_cap_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["rates", "--drive", "dd", "--n-max", "64"])
@@ -356,6 +370,29 @@ class TestConfigFile:
                      "--out", str(out2)]) == 0
         _, header, rows = read_csv(out2)
         assert rows[0][header.index("temperature")] == 2.0
+
+    @pytest.mark.parametrize("line", [
+        "spacing = cubic", "sweep = delta", "drive = sx"],
+        ids=["spacing", "sweep", "drive"])
+    def test_bad_choice_rejected_like_the_flag(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--config", str(cfg), "--sweep", "omega",
+                     "--min", "10", "--max", "20", "--points", "2",
+                     "--out", str(out)]) == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_dashed_sweep_value_names_the_column(self, tmp_path):
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text("sweep = amp-ratio\n")
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--config", str(cfg), "--min", "0", "--max",
+                     "1", "--points", "2", "--drive", "cdt",
+                     "--out", str(out)]) == 0
+        _, header, _ = read_csv(out)
+        assert header[0] == "amp_ratio"
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

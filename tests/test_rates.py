@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drivenqubit import (BathSpec, Drive, bessel_j, build_report,
-                         effective_coupling_dd, effective_splitting,
+                         effective_coupling, effective_splitting,
                          power_spectrum, rate_cdt, rate_dd, rate_static,
-                         stabilization_eta, stabilization_eta_cdt,
-                         trace_bound)
+                         stabilization_eta, trace_bound)
 
 from _oracles import bessel_series, coth_exp, rate_dd_series
 
@@ -110,7 +109,7 @@ class TestRateDd:
         for x in (0.0, 1.2, 2.4):
             d = Drive.from_ratio("dd", x, 1000.0)
             assert rate_dd(d, bath) == pytest.approx(
-                effective_coupling_dd(d, bath).cx, rel=1e-12)
+                effective_coupling(d, bath).cx, rel=1e-12)
 
     def test_closed_form_tanh_ratio(self):
         bath = make_bath(temperature=10.0)
@@ -191,6 +190,9 @@ class TestStabilizationEta:
         d = Drive.from_ratio("dd", 0.0, np.array([[10.0], [1.0e4]]))
         assert np.all(stabilization_eta(bath, d) == 0.25)
 
+    def test_quarter_exact_undriven(self):
+        assert stabilization_eta(make_bath(), Drive.none()) == 0.25
+
     def test_large_above_cutoff_low_temperature(self):
         bath = make_bath(temperature=0.1)
         d = Drive.from_ratio("dd", 2.4, 1.0e4)
@@ -220,8 +222,8 @@ class TestStabilizationEta:
         bath = make_bath(temperature=0.0)
         d = Drive.from_ratio("cdt", 1.0, 100.0)
         expected = 0.25 / bessel_j(0, 1.0)
-        assert stabilization_eta_cdt(bath, d) == pytest.approx(expected,
-                                                               rel=1e-12)
+        assert stabilization_eta(bath, d) == pytest.approx(expected,
+                                                           rel=1e-12)
 
 
 class TestBuildReport:
@@ -233,16 +235,14 @@ class TestBuildReport:
         assert report.delta_eff == 1.0
         assert report.gamma_trace == 2 * report.gamma_relax
         assert report.gamma_avg == pytest.approx(report.gamma_trace / 3)
-        assert report.eta is None and report.eta_cdt is None
+        assert report.eta is None
 
     def test_dd_report_has_eta(self):
         report = build_report(make_bath(), Drive.from_ratio("dd", 2.4, 1000.0))
         assert report.eta is not None
-        assert report.eta_cdt is None
 
     def test_cdt_report_has_eta_cdt(self):
         report = build_report(make_bath(),
                               Drive.from_ratio("cdt", 1.0, 1000.0))
-        assert report.eta is None
-        assert report.eta_cdt is not None
+        assert report.eta is not None
         assert report.delta_eff == pytest.approx(bessel_j(0, 1.0))
