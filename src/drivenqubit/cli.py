@@ -11,12 +11,13 @@ Configuration may come from a flat "key = value" file (--config); any
 flag given on the command line wins over the file, and the file wins over
 the defaults (fig1 has its own defaults for temperature and amp_ratio).
 A file's drive, sweep and spacing values pass the same choice checks as
-the flags.  A driven rates report and a driven scan carry the
-stabilization factor eta of either drive kind, labelled 'eta' for DD and
-'eta_cdt' for CDT.
+the flags; in a sweep value, from either, dashes read as underscores.  A
+driven rates report and a driven scan carry the stabilization factor eta
+of either drive kind, labelled 'eta' for DD and 'eta_cdt' for CDT.
 scan and fig1 evaluate their whole parameter grid as arrays, one harmonic
 sum per output file; each RegimeWarning is raised once per grid with the
-number of points that tripped it.  The DD harmonic sum picks its own
+number of points that tripped it; main prints a RegimeWarning as one
+'warning: <message>' line on stderr.  The DD harmonic sum picks its own
 length from the grid (dropped tail below 1e-16 * S(Delta)), records it as
 '# harmonics = N' in the header of DD scan and fig1 files, and fails with
 exit status 2 where x = 2A/Omega is too large for it to converge.  A
@@ -36,11 +37,12 @@ import argparse
 import functools
 import os
 import sys
+import warnings
 
 import numpy as np
 
 from . import __version__
-from .bath import BathSpec
+from .bath import BathSpec, RegimeWarning
 from .driving import _KINDS, CDT, DD, NONE, Drive, _harmonic_count
 from .dynamics import IntegrationDivergedError, evolve
 from .rates import build_report, stabilization_eta
@@ -59,6 +61,8 @@ _POW10_BIAS = 170
 _POW10 = np.array([float(f"1e{k}") for k in range(-_POW10_BIAS,
                                                    _POW10_BIAS + 1)])
 _EXP_BIAS = 324  # 5e-324 is 4.94065646e-324
+# 10**k is exact in a double up to k = 22 (5**22 < 2**53)
+_EXACT_POW10 = 22
 
 
 def _ascii_words():
@@ -109,11 +113,15 @@ def _read_config(path: str) -> dict:
     return values
 
 
+def _underscored(value: str) -> str:
+    return value.replace("-", "_")
+
+
 def _choice(choices: tuple):
     """Config parser for a value from choices; dashes read as underscores,
     as in the keys."""
     def parse(value: str) -> str:
-        if value.replace("-", "_") not in choices:
+        if _underscored(value) not in choices:
             raise ValueError(f"invalid choice {value!r} (choose from "
                              f"{', '.join(choices)})")
         return value
@@ -230,6 +238,38 @@ def _scaled(mag: np.ndarray, exp: np.ndarray) -> np.ndarray:
     return (mag * _POW10[half + _POW10_BIAS]) * _POW10[k - half + _POW10_BIAS]
 
 
+def _split(a: np.ndarray):
+    """Veltkamp's split of a into a high and a low half of 26 bits each."""
+    c = 134217729.0 * a  # 2**27 + 1
+    high = c - (c - a)
+    return high, a - high
+
+
+def _round_exact(mag: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """rint(mag * 10**k), the exact product rounded half to even, for
+    0 <= k <= _EXACT_POW10 and a product in the tie band of
+    _format_fields: within 1.5e-6 of a half-integer R + 1/2 in [1e8, 1e9).
+
+    10**k is exact there, and Dekker's TwoProduct (Numer. Math. 18, 224
+    (1971); Veltkamp's split, no fused multiply-add needed) writes
+    mag * 10**k = hi + lo exactly, hi the rounded product.  hi is within
+    1.6e-6 of R + 1/2, so R = floor(hi); R + 1/2 is a double, and hi lies
+    within a factor of two of it, so d = hi - (R + 1/2) is exact
+    (Sterbenz).  The exact product is R + 1/2 + (d + lo): it rounds up
+    where d > -lo, down where d < -lo and to the even one of R, R + 1
+    where d == -lo, as '%' does.
+    """
+    scale = _POW10[k + _POW10_BIAS]
+    hi = mag * scale
+    m1, m2 = _split(mag)
+    s1, s2 = _split(scale)
+    lo = m2 * s2 - (((hi - m1 * s1) - m2 * s1) - m1 * s2)
+    base = np.floor(hi)
+    d = hi - (base + 0.5)
+    up = (d > -lo) | ((d == -lo) & (base % 2 == 1))
+    return base.astype(np.int64) + up
+
+
 def _format_fields(rows: np.ndarray) -> str:
     """FLOAT_FMT of every field of a 2-D float array, ',' between the
     fields of a row and '\\n' after each: the bytes of '%' in numpy.
@@ -241,10 +281,14 @@ def _format_fields(rows: np.ndarray) -> str:
     (1 + d1)(1 + d2)(1 + d3)(1 + d4), |di| <= 2**-53, a relative error
     below 4.5e-16 and an absolute one below 4.5e-7 for q < 1e9.  Where
     |frac(q) - 1/2| >= 1e-6 no half-integer lies between the computed
-    and the exact q, so rint gives the correctly rounded r.  The fields
-    inside that band (exact decimal ties such as the sample times k/256:
-    5-7% of the fields of an evolve table at dt = 1/256 or 1/128) and the
-    non-finite ones are formatted by one batched '%'.
+    and the exact q, so rint gives the correctly rounded r.  Inside that
+    band (exact decimal ties such as the sample times k/256: 5-7% of the
+    fields of an evolve table at dt = 1/256 or 1/128) the exact q is
+    within 1.5e-6 of a half-integer, so no integer lies near it and e is
+    right; where 10**(8 - e) is exact, 0 <= 8 - e <= 22, _round_exact
+    rounds the exact product, and the remaining band fields (|v| >= 1e9
+    or |v| < 1e-14) and the non-finite ones are formatted by one batched
+    '%'.
     """
     values = rows.ravel()
     finite = np.isfinite(values)
@@ -260,9 +304,13 @@ def _format_fields(rows: np.ndarray) -> str:
     exp += over
     exp -= under
     q[fix] = _scaled(mag[fix], exp[fix])
-    fallback = ~finite | (np.abs(q - np.floor(q) - 0.5) < 1e-6)
+    tie = np.abs(q - np.floor(q) - 0.5) < 1e-6
+    exact = tie & (exp >= 8 - _EXACT_POW10) & (exp <= 8)
+    fallback = ~finite | (tie & ~exact)
 
     r = np.rint(q).astype(np.int64)
+    if exact.any():
+        r[exact] = _round_exact(mag[exact], 8 - exp[exact])
     carry = r == 10**9
     r[carry] = 10**8
     exp += carry
@@ -473,7 +521,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="sweep one parameter, write CSV")
     _add_common(p)
-    p.add_argument("--sweep", default=None,
+    # dashes read as underscores, as in a config file's value
+    p.add_argument("--sweep", default=None, type=_underscored,
                    choices=_SWEEPS,
                    help="parameter to sweep")
     p.add_argument("--min", type=float, default=None)
@@ -497,14 +546,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _format_warning(python_format, message, category, *args, **kwargs):
+    """'warning: <message>' for a RegimeWarning; any other warning keeps
+    Python's format."""
+    if issubclass(category, RegimeWarning):
+        return f"warning: {message}\n"
+    return python_format(message, category, *args, **kwargs)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a printed RegimeWarning names its parameters, not the source line
+    # that raised it; only the text changes, so a caller that records
+    # warnings still gets them
+    python_format = warnings.formatwarning
+    warnings.formatwarning = functools.partial(_format_warning,
+                                               python_format)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = python_format
 
 
 if __name__ == "__main__":

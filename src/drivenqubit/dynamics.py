@@ -12,8 +12,9 @@ affine propagator over one period only and reaches every later sample
 through integer powers of it.  The one-period propagator is a product of
 fourth-order Magnus steps, each the matrix exponential (_expm) of a
 closed-form exponent, with as many steps as the whole run's error budget
-tol needs; an undriven run takes powers of one exponential.  The package
-runs on numpy alone.
+tol needs; an undriven run takes powers of one exponential.  The powers
+for all samples come from one table built by doubling, a few whole-array
+matrix products (_powers).  The package runs on numpy alone.
 
 evolve calls no ODE solver.  dynamics.solve_ivp (scipy's) stays a module
 attribute only because perfbench's tracer swaps that name to count solver
@@ -232,21 +233,45 @@ def _one_period(a0, a1, omega, span, periods, tol):
     return levels, error
 
 
-def _apply_powers(step: np.ndarray, n: np.ndarray,
-                  v0: np.ndarray) -> np.ndarray:
-    """Columns step^n[k] @ v0, shape (4, len(n)), by binary powering.
+def _powers(step: np.ndarray, n: np.ndarray, v0: np.ndarray) -> np.ndarray:
+    """Columns step^n[k] @ v0, shape (4, len(n)), for nondecreasing n.
 
-    One masked batch matvec per bit of max(n): the squares step^(2^j)
-    commute, so each column takes them in any order, and the memory is
-    that of the columns, not of max(n).
+    The powers below B = min(n[-1] + 1, 2^b), with 2^b the smallest power
+    of two >= len(n), are built by doubling: with m = 2^j, columns
+    m .. 2m-1 of one preallocated table are step^m @ columns 0 .. m-1, one
+    matmul per j.  A sample with n >= B takes the table column of its low
+    bits, n mod B, then the squares step^B, step^2B, ... of its high bits
+    by masked binary powering.  Either way a column takes the squares
+    step^(2^j) of the set bits of its n, lowest first, as plain binary
+    powering would, and the memory is that of len(n) columns, not of
+    max(n): a driven run sampled less than once per period reaches
+    n ~ 1e8.  For n = 0, 1, 2, ... (an undriven run) the table is the
+    result.
     """
-    v = np.repeat(v0[:, None], len(n), axis=1)
-    while True:
-        v = np.where(n & 1, step @ v, v)
-        n = n >> 1
-        if not n.any():
-            return v
+    size = min(int(n[-1]) + 1, 1 << (len(n) - 1).bit_length())
+    table = np.empty((len(v0), size))
+    table[:, 0] = v0
+    m = 1
+    while m < size:
+        width = min(m, size - m)
+        if width > 1:
+            np.matmul(step, table[:, :width], out=table[:, m:m + width])
+        else:
+            # numpy hands a single column to gemv, which sums in another
+            # order than gemm: two copies of it keep the rounding of gemm
+            table[:, m] = (step @ table[:, [0, 0]])[:, 0]
         step = step @ step
+        m *= 2
+    if len(n) == size and n[-1] == size - 1 and (n[1:] > n[:-1]).all():
+        return table
+    # step is now step^m, m the smallest power of two >= size
+    v = table[:, n & (m - 1)]
+    high = n >> (m.bit_length() - 1)
+    while high.any():
+        v = np.where(high & 1, step @ v, v)
+        high >>= 1
+        step = step @ step
+    return v
 
 
 def _outside_fixed_point(step: np.ndarray, gamma_eff: float,
@@ -284,9 +309,11 @@ def evolve(bath: BathSpec, drive: Drive, s0, t_max: float, dt_out: float,
     steps times one partial step.  N is the smallest power of two at
     which ceil(t_max/T) times the one-period error estimate is <= tol
     (see _one_period); the result records N (substeps) and the estimate
-    (period_error).  Phi(T)^n (s0, 1) comes from binary powering, so the
-    cost does not grow with t_max / T.  An undriven run needs no steps:
-    sample k is exp(A0*dt_out)^k (s0, 1).
+    (period_error).  Phi(T)^n (s0, 1) comes from _powers: a table of the
+    powers below the sample count, built by doubling, and binary powering
+    from there on, so the cost does not grow with t_max / T.  An
+    undriven run needs no steps: sample k is exp(A0*dt_out)^k (s0, 1),
+    the table itself.
 
     The full time-dependent coherent block is kept (no rotating frame),
     so the high-frequency approximation enters only through Gamma_eff.
@@ -316,7 +343,7 @@ def evolve(bath: BathSpec, drive: Drive, s0, t_max: float, dt_out: float,
     substeps = period_error = None
     if not driven:
         step = _expm(a0 * dt_out)
-        s = _apply_powers(step, np.arange(len(t_eval)), v0)[:3].T
+        s = _powers(step, np.arange(len(t_eval)), v0)[:3].T
     else:
         omega, period = drive.omega, drive.period
         span = min(period, t_max)
@@ -332,7 +359,7 @@ def evolve(bath: BathSpec, drive: Drive, s0, t_max: float, dt_out: float,
         phi = (_expm(_magnus_exponents(a0, a1, omega, m * h, phases - m * h))
                @ _prefix_products(levels, m))
         step = levels[-1][0]
-        v = _apply_powers(step, n, v0)
+        v = _powers(step, n, v0)
         s = np.einsum("kij,jk->ki", phi[which, :3], v)
     norms = np.linalg.norm(s, axis=1)
     if np.any(norms > 1.0 + 100.0 * tol):

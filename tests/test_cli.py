@@ -1,5 +1,8 @@
 import io
 import math
+import sys
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -224,6 +227,27 @@ class TestScan:
         assert "Omega >= 10" in messages[0]
         assert "(8 of 19 points)" in messages[0]
 
+    def test_regime_warning_prints_its_message(self, tmp_path, capsys,
+                                               monkeypatch):
+        # the suite records warnings; print them here as Python's default
+        # showwarning does, through warnings.formatwarning
+        def show(message, category, filename, lineno, file=None, line=None):
+            sys.stderr.write(warnings.formatwarning(message, category,
+                                                    filename, lineno, line))
+
+        monkeypatch.setattr(warnings, "showwarning", show)
+        python_format = warnings.formatwarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("always", RegimeWarning)
+            assert main(["scan", "--sweep", "alpha", "--min", "0.001",
+                         "--max", "0.05", "--points", "5",
+                         "--out", str(tmp_path / "alpha.csv")]) == 0
+        assert capsys.readouterr().err == (
+            "warning: weak-coupling condition alpha*ln(omega_c) << 1 "
+            "violated; Markovian rates are unreliable here (3 of 5 "
+            "points)\n")
+        assert warnings.formatwarning is python_format
+
     @pytest.mark.parametrize("sweep, drive, message", [
         ("omega", "dd", "omega > 0"), ("amp_ratio", "cdt", "amplitude"),
         ("temperature", "none", "temperature"), ("alpha", "dd", "alpha")])
@@ -394,6 +418,14 @@ class TestConfigFile:
         _, header, _ = read_csv(out)
         assert header[0] == "amp_ratio"
 
+    def test_dashed_sweep_flag_names_the_column(self, tmp_path):
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--sweep", "amp-ratio", "--min", "0", "--max",
+                     "1", "--points", "2", "--drive", "cdt",
+                     "--out", str(out)]) == 0
+        _, header, _ = read_csv(out)
+        assert header[0] == "amp_ratio"
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         for line in ("omega_r = 3", "seed = 0", "workers = 2", "n_max = 64"):
@@ -469,6 +501,44 @@ def test_fields_are_percent_bytes(values):
     # raw float64 bit patterns: subnormals, nan payloads, every exponent
     assert _format_fields(np.array([values])) == \
         ",".join(FLOAT_FMT % v for v in values) + "\n"
+
+
+def _dyadic_ties(k):
+    """Every v = c / 2^(k+1), c odd, with v * 10^k = c * 5^k / 2 = R + 1/2
+    and R in [1e8, 1e9): exact decimal ties of '%.8e' at 8 - e = k."""
+    five = 5**k
+    c = np.unique(np.linspace(2 * 10**8 // five, 2 * 10**9 // five, 50)
+                  .astype(np.int64) | 1)
+    c = c[(c * five > 2 * 10**8) & (c * five < 2 * 10**9)]
+    return c / 2.0 ** (k + 1)
+
+
+def _near_ties(k):
+    """The doubles nearest to R + 1/2 times 10^-k, and three neighbours on
+    either side."""
+    tie = (_RNG.integers(10**8, 10**9, 100) + 0.5) * 10.0 ** -k
+    return np.concatenate([tie + j * np.spacing(tie) for j in range(-3, 4)])
+
+
+@pytest.mark.parametrize("values, k", [
+    # R + 1/2 exactly, R even and odd; 999999999.5 carries into 1e9
+    (np.array([1e8 + 0.5, 1e8 + 1.5, 123456788.5, 123456789.5,
+               999999998.5, 999999999.5]), [0]),
+    (np.concatenate([_dyadic_ties(k) for k in range(14)]), range(14)),
+    # past k = 13 no tie is exact (5^k would divide 2R + 1 < 2e9)
+    (np.concatenate([_near_ties(k) for k in (20, 21, 22)]), (20, 21, 22)),
+    # 10^k is not exact in a double: these fields take the fallback '%'
+    (_near_ties(23), [23]),
+    (_near_ties(-1), [-1]),
+], ids=["k=0", "dyadic-k=0..13", "near-k=20..22", "k=23", "k=-1"])
+def test_ties_round_half_to_even_like_percent(values, k):
+    values = np.concatenate([values, -values])
+    # every value lies within 1e-6 of a tie R + 1/2 at one of the k
+    for v in values.tolist():
+        assert min(abs((abs(Fraction(v)) * Fraction(10) ** j) % 1
+                       - Fraction(1, 2)) for j in k) < Fraction(1, 10**6)
+    assert _format_fields(values[:, None]) == \
+        "".join(FLOAT_FMT % v + "\n" for v in values.tolist())
 
 
 def test_parser_is_built_once(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -311,6 +312,94 @@ class TestFloquetPropagator:
         assert radius == pytest.approx(abs(s_z), rel=1e-3)
 
 
+def _running_product(step, v0, count):
+    """step^k v0 for k = 0 .. count - 1, shape (4, count), one matvec at a
+    time."""
+    columns = [v0]
+    for _ in range(count - 1):
+        columns.append(step @ columns[-1])
+    return np.array(columns).T
+
+
+class TestPowers:
+
+    V0 = np.array([0.3, -0.4, 0.5, 1.0])
+
+    @staticmethod
+    def undriven_step(dt):
+        _, a0, _ = dynamics._generator(make_bath(temperature=0.1),
+                                       Drive.none())
+        return dynamics._expm(a0 * dt)
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 1000, 70_001])
+    def test_consecutive_powers_match_running_product(self, count):
+        # the running product rounds once per matvec: at 70,000 of them it
+        # is ~2e-13 off the powers
+        step = self.undriven_step(1 / 256)
+        got = dynamics._powers(step, np.arange(count), self.V0)
+        assert got.shape == (4, count)
+        assert np.array_equal(got[:, 0], self.V0)
+        assert np.max(np.abs(got - _running_product(step, self.V0, count))) \
+            <= 1e-12
+
+    @pytest.mark.parametrize("n", [
+        np.repeat(np.arange(40), 3),                     # below len(n) only
+        np.array([0, 0, 2, 3, 3, 5]),    # len(n) = max(n) + 1, not 0, 1, ...
+        np.sort(np.random.default_rng(2).integers(0, 20_000, 300)),
+        np.array([0, 1, 2, 4096, 4097, 16_383]),         # low and high bits
+    ], ids=["repeats", "repeats-to-count", "sparse", "high-bits"])
+    def test_sampled_powers_match_running_product(self, n):
+        # up to n = 20,000 (t = 78) the state stays 0.2 or more from its
+        # fixed point, so a wrong power shows
+        step = self.undriven_step(1 / 256)
+        want = _running_product(step, self.V0, n[-1] + 1)[:, n]
+        assert np.max(np.abs(dynamics._powers(step, n, self.V0) - want)) \
+            <= 1e-12
+
+    def test_sparse_driven_run_matches_reference(self):
+        # 1401 samples 11.4 periods apart, n up to 16,000.  Reference:
+        # bloch_reference over one period, from s = 0 and the three unit
+        # vectors, gives the affine propagators Phi(tau) at every sample
+        # phase and Phi(T); Phi(T)^n (s0, 1) is a running product.
+        bath = BathSpec(1e-4, 500.0, 1.0)
+        d = Drive.from_ratio("cdt", 2.4, 100.0)
+        t_max = 16_000 * d.period
+        tol = 1e-10
+        traj = evolve(bath, d, self.V0[:3], t_max, t_max / 1400, tol=tol)
+        n = np.floor(traj.t / d.period).astype(np.int64)
+        tau = traj.t - n * d.period
+        phases = np.unique(np.append(tau, d.period))
+        starts = [bloch_reference("cdt", d.amplitude, d.omega,
+                                  effective_rate(bath, d), bath.alpha, s0,
+                                  phases, 3e-13)
+                  for s0 in np.vstack([np.zeros(3), np.eye(3)])]
+        phi = np.zeros((len(phases), 4, 4))
+        phi[:, :3, :3] = np.stack(starts[1:], axis=2) - starts[0][:, :, None]
+        phi[:, :3, 3] = starts[0]
+        phi[:, 3, 3] = 1.0
+        powers = _running_product(phi[-1], self.V0, n[-1] + 1)[:, n]
+        want = np.einsum("kij,jk->ki",
+                         phi[np.searchsorted(phases, tau), :3], powers)
+        assert n[-1] == 16_000
+        assert np.max(np.abs(traj.s - want)) <= 10 * tol
+        # the run is still far from its fixed point at the last sample
+        assert np.linalg.norm(traj.s[-1]) > 0.3
+
+    def test_memory_follows_samples_not_periods(self):
+        # 101 samples over 1.6e8 drive periods: a table of every power up
+        # to max(n) would take 5 GB
+        d = Drive.from_ratio("dd", 2.4, 100.0)
+        t_max = 1.6e8 * d.period
+        tracemalloc.start()
+        try:
+            traj = evolve(make_bath(), d, self.V0[:3], t_max, t_max / 100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(traj) == 101
+        assert peak < 10e6
+
+
 class TestExpm:
 
     @pytest.mark.parametrize("temperature", [0.1, 0.5, 10.0])
@@ -330,9 +419,8 @@ class TestExpm:
         # is 4.3e-13 off the 40-digit one, from rounding in the powering
         v0 = np.array([0.3, -0.4, 0.5, 1.0])
         n = np.array([70_000])
-        assert np.max(np.abs(dynamics._apply_powers(step, n, v0)
-                             - dynamics._apply_powers(rounded, n, v0))) \
-            <= 1e-13
+        assert np.max(np.abs(dynamics._powers(step, n, v0)
+                             - dynamics._powers(rounded, n, v0))) <= 1e-13
 
     def test_zero_and_scalar_cases(self):
         assert np.array_equal(dynamics._expm(np.zeros((4, 4))), np.eye(4))
