@@ -1,19 +1,26 @@
 """Command-line front end: rate reports, parameter sweeps, trajectories.
 
-Subcommands
-    rates   print the scalar rate bundle at a single parameter point
-    scan    sweep one parameter and write a CSV per temperature
-    evolve  integrate a Bloch trajectory and dump it as CSV
+Subcommands, and the options each takes besides --config
+    rates   print the scalar rate bundle at a single parameter point:
+            --alpha --omega-c --temperature --drive --amp-ratio --omega
+            --out
+    scan    sweep one parameter and write a CSV per temperature: the
+            rates options and --sweep --min --max --points --spacing
+    evolve  integrate a Bloch trajectory and dump it as CSV: the rates
+            options and --tol --s0 --t-max --dt-out
     fig1    eta(Omega) curves for the canonical dynamical-decoupling
-            parameter set (alpha = 0.01, omega_c = 500, x = 2.4)
+            parameter set: --alpha --omega-c --temperature --amp-ratio
+            --out, with temperatures 0.1, 1, 10 and x = 2.4 by default
 
-Configuration may come from a flat "key = value" file (--config); any
-flag given on the command line wins over the file, and the file wins over
-the defaults (fig1 has its own defaults for temperature and amp_ratio).
-A file's drive, sweep and spacing values pass the same choice checks as
-the flags; in a sweep value, from either, dashes read as underscores.  A
-driven rates report and a driven scan carry the stabilization factor eta
-of either drive kind, labelled 'eta' for DD and 'eta_cdt' for CDT.
+--config names a flat "key = value" file of the same options; a flag wins
+over the file, and the file over the defaults.  A file value goes through
+the flag's parser, choices included; in a drive, sweep or spacing value,
+as in a key, dashes read as underscores.  An option the command does not
+take exits with status 2, from a flag or a file.  The '#' header of a CSV
+records each set option of its command but, in a scan, the swept one.
+A driven rates report and a driven scan carry the stabilization factor
+eta, labelled 'eta' for DD and 'eta_cdt' for CDT; driven scan files and
+fig1 note its reference values 0.25 and 1 in the header.
 scan and fig1 evaluate their whole parameter grid as arrays, one harmonic
 sum per output file; each RegimeWarning is raised once per grid with the
 number of points that tripped it; main prints a RegimeWarning as one
@@ -38,6 +45,7 @@ import functools
 import os
 import sys
 import warnings
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -89,116 +97,17 @@ _DIGITS4, _EXP4 = _ascii_words()
 # the name of the eta column in a CSV, and of its line in the rates report
 _ETA_COLUMNS = {DD: "eta", CDT: "eta_cdt"}
 
-# the values --drive, --sweep and --spacing take, from a flag or a config file
-_SWEEPS = ("omega", "amp_ratio", "temperature", "alpha")
-_SPACINGS = ("linear", "log")
-
-
-def _fmt(x: float) -> str:
-    return FLOAT_FMT % x
-
-
-def _read_config(path: str) -> dict:
-    """Flat key = value file; '#' starts a comment."""
-    values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, val = (part.strip() for part in line.split("=", 1))
-            values[key.replace("-", "_")] = val
-    return values
-
-
-def _underscored(value: str) -> str:
-    return value.replace("-", "_")
-
-
-def _choice(choices: tuple):
-    """Config parser for a value from choices; dashes read as underscores,
-    as in the keys."""
-    def parse(value: str) -> str:
-        if _underscored(value) not in choices:
-            raise ValueError(f"invalid choice {value!r} (choose from "
-                             f"{', '.join(choices)})")
-        return value
-    return parse
-
-
-_CONFIG_PARSERS = {
-    "alpha": float,
-    "omega_c": float,
-    "temperature": lambda v: [float(x) for x in v.split(",")],
-    "drive": _choice(_KINDS),
-    "amp_ratio": float,
-    "omega": float,
-    "tol": float,
-    "out": str,
-    "s0": str,
-    "t_max": float,
-    "dt_out": float,
-    "sweep": _choice(_SWEEPS),
-    "min": float,
-    "max": float,
-    "points": int,
-    "spacing": _choice(_SPACINGS),
-}
-
-
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--alpha", type=float, default=None,
-                        help="dissipation strength (default 0.01)")
-    parser.add_argument("--omega-c", type=float, default=None,
-                        help="bath cutoff in units of Delta (default 500)")
-    parser.add_argument("--temperature", type=float, action="append",
-                        default=None,
-                        help="temperature in hbar*Delta/k_B; repeatable")
-    parser.add_argument("--drive", choices=_KINDS, default=None,
-                        help="drive kind (default none)")
-    parser.add_argument("--amp-ratio", type=float, default=None,
-                        help="dimensionless drive strength x = 2A/Omega")
-    parser.add_argument("--omega", type=float, default=None,
-                        help="driving frequency in units of Delta")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="error bound of a trajectory (default 1e-9)")
-    parser.add_argument("--out", default=None, help="output CSV path")
-
-
-_DEFAULTS = {
-    "alpha": 0.01, "omega_c": 500.0, "temperature": [1.0], "drive": NONE,
-    "amp_ratio": 0.0, "omega": 100.0, "tol": 1e-9,
-    "out": None, "s0": "1,0,0", "t_max": 100.0, "dt_out": 0.1,
-    "sweep": None, "min": None, "max": None, "points": None,
-    "spacing": "linear",
-}
+# eta's reference values, noted in the header of driven scan files and fig1
+_ETA_NOTE = ("# reference: eta = 0.25 (improvement on average), "
+             "eta = 1 (improvement for any initial state)")
 
 FIG1_TEMPERATURES = [0.1, 1.0, 10.0]
 FIG1_OMEGA_RANGE = (10.0, 1.0e4)
 FIG1_POINTS = 200
 
-# defaults of one subcommand that differ from _DEFAULTS
-_COMMAND_DEFAULTS = {
-    "fig1": {"temperature": FIG1_TEMPERATURES, "amp_ratio": 2.4},
-}
 
-
-def _resolve(args: argparse.Namespace) -> dict:
-    """Merge defaults < subcommand defaults < config file < explicit flags."""
-    cfg = {**_DEFAULTS, **_COMMAND_DEFAULTS.get(args.command, {})}
-    if getattr(args, "config", None):
-        for key, raw in _read_config(args.config).items():
-            if key not in _CONFIG_PARSERS:
-                raise ValueError(f"unknown config key {key!r}")
-            cfg[key] = _CONFIG_PARSERS[key](raw)
-    for key in cfg:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    return cfg
+def _fmt(x: float) -> str:
+    return FLOAT_FMT % x
 
 
 def _one_temperature(cfg: dict, command: str) -> float:
@@ -215,18 +124,18 @@ def _drive_from(cfg: dict) -> Drive:
     return Drive.from_ratio(cfg["drive"], cfg["amp_ratio"], cfg["omega"])
 
 
-def _config_comments(cfg: dict, extra: dict | None = None) -> list[str]:
-    items = dict(cfg)
-    if extra:
-        items.update(extra)
+def _text(value) -> str:
+    """A value as the header and the help write it: a list comma-separated."""
+    if isinstance(value, list):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+def _config_comments(cfg: dict) -> list[str]:
     lines = [f"# drivenqubit {__version__}"]
-    for key in sorted(items):
-        val = items[key]
-        if val is None:
-            continue
-        if isinstance(val, list):
-            val = ",".join(str(v) for v in val)
-        lines.append(f"# {key} = {val}")
+    for key in sorted(cfg):
+        if cfg[key] is not None:
+            lines.append(f"# {key} = {_text(cfg[key])}")
     return lines
 
 
@@ -371,8 +280,7 @@ def _harmonics_comment(drive: Drive, bath: BathSpec) -> str:
 # subcommands
 
 
-def cmd_rates(args) -> int:
-    cfg = _resolve(args)
+def cmd_rates(cfg: dict) -> int:
     temperature = _one_temperature(cfg, "rates")
     bath = BathSpec(cfg["alpha"], cfg["omega_c"], temperature)
     drive = _drive_from(cfg)
@@ -401,7 +309,7 @@ def cmd_rates(args) -> int:
 def _sweep_values(cfg: dict) -> np.ndarray:
     for key in ("sweep", "min", "max", "points"):
         if cfg[key] is None:
-            raise ValueError(f"scan requires --{key.replace('_', '-')}")
+            raise ValueError(f"scan requires --{key}")
     if cfg["points"] < 2:
         raise ValueError("sweeps need at least 2 points")
     if cfg["spacing"] == "log":
@@ -411,16 +319,13 @@ def _sweep_values(cfg: dict) -> np.ndarray:
     return np.linspace(cfg["min"], cfg["max"], cfg["points"])
 
 
-def cmd_scan(args) -> int:
-    cfg = _resolve(args)
+def cmd_scan(cfg: dict) -> int:
     values = _sweep_values(cfg)
-    param = cfg["sweep"].replace("-", "_")
+    param = cfg["sweep"]
 
     header = [param, "delta_eff", "gamma_eff", "gamma"]
     if cfg["drive"] in _ETA_COLUMNS:
         header.append(_ETA_COLUMNS[cfg["drive"]])
-    eta_note = ("# reference: eta = 0.25 (improvement on average), "
-                "eta = 1 (improvement for any initial state)")
 
     temperatures = [None] if param == "temperature" else cfg["temperature"]
     for temperature in temperatures:
@@ -443,17 +348,20 @@ def cmd_scan(args) -> int:
             # split the extension of the file name only, not of a directory
             root, ext = os.path.splitext(path)
             path = f"{root}_T{temperature:g}{ext}"
-        extra = None if temperature is None else {"temperature": [temperature]}
-        comments = _config_comments(cfg, extra)
+        # the sweep, min, max, points and spacing lines describe the swept
+        # parameter's values
+        comments = _config_comments(
+            {**cfg, "temperature": [temperature], param: None})
         if cfg["drive"] == DD:
-            comments += [_harmonics_comment(drive, bath), eta_note]
+            comments.append(_harmonics_comment(drive, bath))
+        if cfg["drive"] in _ETA_COLUMNS:
+            comments.append(_ETA_NOTE)
         _write_csv(path, comments, header, rows)
     return 0
 
 
-def cmd_evolve(args) -> int:
-    cfg = _resolve(args)
-    s0 = np.array([float(v) for v in str(cfg["s0"]).split(",")])
+def cmd_evolve(cfg: dict) -> int:
+    s0 = np.array([float(v) for v in cfg["s0"].split(",")])
     if s0.shape != (3,):
         raise ValueError("--s0 expects three comma-separated components")
     bath = BathSpec(cfg["alpha"], cfg["omega_c"],
@@ -477,7 +385,7 @@ def cmd_evolve(args) -> int:
     return 0
 
 
-def cmd_fig1(args) -> int:
+def cmd_fig1(cfg: dict) -> int:
     """eta(Omega) for the canonical DD parameter set.
 
     alpha = 0.01, omega_c = 500, x = 2.4, Omega log-spaced over
@@ -485,24 +393,128 @@ def cmd_fig1(args) -> int:
     temperature set {0.1, 1, 10} is a documented default (overridable
     with --temperature or the config file), not a literature value.
     """
-    cfg = _resolve(args)
-    cfg["drive"] = DD
-
     omegas = np.geomspace(*FIG1_OMEGA_RANGE, FIG1_POINTS)
     temps = cfg["temperature"]
     # (omega, temperature) grid in one call: omegas down, temperatures across
     bath = BathSpec(cfg["alpha"], cfg["omega_c"], np.array(temps))
     drive = Drive.from_ratio(DD, cfg["amp_ratio"], omegas[:, None])
-    rows = np.column_stack(
-        [omegas, stabilization_eta(bath, drive)])
+    rows = np.column_stack([omegas, stabilization_eta(bath, drive)])
 
     header = ["omega"] + [f"eta_T{t:g}" for t in temps]
-    comments = _config_comments(cfg)
-    comments.append(_harmonics_comment(drive, bath))
-    comments.append("# reference: eta = 0.25 (improvement on average), "
-                    "eta = 1 (improvement for any initial state)")
+    comments = _config_comments(cfg) + [_harmonics_comment(drive, bath),
+                                        _ETA_NOTE]
     _write_csv(cfg["out"], comments, header, rows)
     return 0
+
+
+# --------------------------------------------------------------------------
+# options
+
+
+class _Choice(tuple):
+    """The choices, and the parser of a value from them; dashes read as
+    underscores: --sweep amp-ratio and 'sweep = amp-ratio' give amp_ratio."""
+
+    def __call__(self, value: str) -> str:
+        name = value.replace("-", "_")
+        if name not in self:
+            raise argparse.ArgumentTypeError(
+                f"invalid choice {value!r} (choose from {', '.join(self)})")
+        return name
+
+
+class _Option(NamedTuple):
+    """parse reads a flag's and a file's text alike.  A list default makes
+    the flag repeatable and the file value a comma-separated list."""
+    parse: Callable[[str], object]
+    default: object
+    help: str
+
+
+# every option of the command line and of the config file
+_OPTIONS = {
+    "alpha": _Option(float, 0.01, "dissipation strength"),
+    "omega_c": _Option(float, 500.0, "bath cutoff in units of Delta"),
+    "temperature": _Option(float, [1.0],
+                           "temperature in hbar*Delta/k_B; repeatable"),
+    "drive": _Option(_Choice(_KINDS), NONE, "drive kind"),
+    "amp_ratio": _Option(float, 0.0,
+                         "dimensionless drive strength x = 2A/Omega"),
+    "omega": _Option(float, 100.0, "driving frequency in units of Delta"),
+    "out": _Option(str, None, "output CSV path; - for stdout"),
+    "sweep": _Option(_Choice(("omega", "amp_ratio", "temperature", "alpha")),
+                     None, "parameter to sweep"),
+    "min": _Option(float, None, "first value of the sweep"),
+    "max": _Option(float, None, "last value of the sweep"),
+    "points": _Option(int, None, "number of sweep values"),
+    "spacing": _Option(_Choice(("linear", "log")), "linear",
+                       "spacing of the sweep values"),
+    "tol": _Option(float, 1e-9, "error bound of a trajectory"),
+    "s0": _Option(str, "1,0,0", "initial Bloch vector 'x,y,z'"),
+    "t_max": _Option(float, 100.0, "end time of a trajectory"),
+    "dt_out": _Option(float, 0.1, "time between output samples"),
+}
+
+
+def _keys(*keys: str, **own) -> dict:
+    """Each of a command's keys with its own default, or else the table's."""
+    return {key: own.get(key, _OPTIONS[key].default) for key in keys}
+
+
+_POINT = ("alpha", "omega_c", "temperature", "drive", "amp_ratio", "omega",
+          "out")
+
+# each command: what it runs, its help, and its keys with their defaults
+_COMMANDS = {
+    "rates": (cmd_rates, "rate bundle at one parameter point",
+              _keys(*_POINT)),
+    "scan": (cmd_scan, "sweep one parameter, write CSV",
+             _keys(*_POINT, "sweep", "min", "max", "points", "spacing")),
+    "evolve": (cmd_evolve, "integrate a Bloch trajectory",
+               _keys(*_POINT, "tol", "s0", "t_max", "dt_out")),
+    "fig1": (cmd_fig1, "eta(Omega) stabilization curves",
+             _keys("alpha", "omega_c", "temperature", "amp_ratio", "out",
+                   temperature=FIG1_TEMPERATURES, amp_ratio=2.4)),
+}
+
+
+def _read_config(path: str) -> dict:
+    """Flat key = value file; '#' starts a comment."""
+    values = {}
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+            key, val = (part.strip() for part in line.split("=", 1))
+            values[key.replace("-", "_")] = val
+    return values
+
+
+def _resolve(args: argparse.Namespace) -> dict:
+    """The command's keys: its defaults < config file < explicit flags."""
+    _, _, defaults = _COMMANDS[args.command]
+    cfg = dict(defaults)
+    if args.config:
+        for key, raw in _read_config(args.config).items():
+            if key not in cfg:
+                raise ValueError(f"{args.command} takes no config key "
+                                 f"{key!r}")
+            option = _OPTIONS[key]
+            try:
+                if isinstance(option.default, list):
+                    cfg[key] = [option.parse(v) for v in raw.split(",")]
+                else:
+                    cfg[key] = option.parse(raw)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from None
+    for key in cfg:
+        val = getattr(args, key)
+        if val is not None:
+            cfg[key] = val
+    return cfg
 
 
 @functools.cache
@@ -514,35 +526,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Driven-qubit decoherence rates, Bloch dynamics and "
                     "coherence-stabilization sweeps (units: Delta = 1)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("rates", help="rate bundle at one parameter point")
-    _add_common(p)
-    p.set_defaults(func=cmd_rates)
-
-    p = sub.add_parser("scan", help="sweep one parameter, write CSV")
-    _add_common(p)
-    # dashes read as underscores, as in a config file's value
-    p.add_argument("--sweep", default=None, type=_underscored,
-                   choices=_SWEEPS,
-                   help="parameter to sweep")
-    p.add_argument("--min", type=float, default=None)
-    p.add_argument("--max", type=float, default=None)
-    p.add_argument("--points", type=int, default=None)
-    p.add_argument("--spacing", choices=_SPACINGS, default=None)
-    p.set_defaults(func=cmd_scan)
-
-    p = sub.add_parser("evolve", help="integrate a Bloch trajectory")
-    _add_common(p)
-    p.add_argument("--s0", default=None,
-                   help="initial Bloch vector 'x,y,z' (default 1,0,0)")
-    p.add_argument("--t-max", type=float, default=None)
-    p.add_argument("--dt-out", type=float, default=None)
-    p.set_defaults(func=cmd_evolve)
-
-    p = sub.add_parser("fig1", help="eta(Omega) stabilization curves")
-    _add_common(p)
-    p.set_defaults(func=cmd_fig1)
-
+    for command, (run, summary, defaults) in _COMMANDS.items():
+        # no prefixes: fig1's --omega-c must not take --omega
+        p = sub.add_parser(command, help=summary, allow_abbrev=False)
+        p.add_argument("--config", help="flat key = value config file")
+        for key, default in defaults.items():
+            option = _OPTIONS[key]
+            kwargs = {"type": option.parse, "help": option.help}
+            if default is not None:
+                kwargs["help"] += f" (default {_text(default)})"
+            if isinstance(option.default, list):
+                kwargs["action"] = "append"
+            if isinstance(option.parse, _Choice):
+                kwargs["metavar"] = "{" + ",".join(option.parse) + "}"
+            p.add_argument("--" + key.replace("_", "-"), **kwargs)
+        p.set_defaults(func=run)
     return parser
 
 
@@ -555,8 +553,7 @@ def _format_warning(python_format, message, category, *args, **kwargs):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     # a printed RegimeWarning names its parameters, not the source line
     # that raised it; only the text changes, so a caller that records
     # warnings still gets them
@@ -564,7 +561,7 @@ def main(argv=None) -> int:
     warnings.formatwarning = functools.partial(_format_warning,
                                                python_format)
     try:
-        return args.func(args)
+        return args.func(_resolve(args))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,8 +1,10 @@
 import io
 import math
+import re
 import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -453,6 +455,92 @@ class TestConfigFile:
         for field in data_line.strip().split(","):
             mantissa = field.split("e")[0]
             assert len(mantissa.replace("-", "").replace(".", "")) == 9
+
+
+class TestOptionsPerCommand:
+    """Each command takes, and its CSV header records, its own options."""
+
+    @pytest.mark.parametrize("command, flags", [
+        ("fig1", ["--drive", "cdt"]), ("fig1", ["--omega", "5"]),
+        ("fig1", ["--tol", "1e-3"]), ("rates", ["--tol", "1e-3"]),
+        ("scan", ["--tol", "1e-3"]), ("rates", ["--s0", "0,0,1"]),
+        ("evolve", ["--sweep", "omega"])])
+    def test_flag_of_another_command_is_gone(self, tmp_path, capsys,
+                                             command, flags):
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([command, *flags, "--out", str(out)])
+        assert exc.value.code == 2
+        assert flags[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, line", [
+        ("rates", "s0 = 9,9,9"), ("fig1", "drive = cdt"),
+        ("fig1", "omega = 5"), ("scan", "tol = 1e-3"),
+        ("evolve", "points = 3")])
+    def test_config_key_of_another_command_is_rejected(self, tmp_path,
+                                                       capsys, command,
+                                                       line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) \
+            == 2
+        assert repr(line.split(" = ")[0]) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, keys", [
+        (["rates", "--drive", "cdt", "--amp-ratio", "1"],
+         "alpha omega_c temperature drive amp_ratio omega out"),
+        (["scan", "--sweep", "omega", "--min", "10", "--max", "100",
+          "--points", "2", "--drive", "dd", "--amp-ratio", "2.4",
+          "--omega", "55"],
+         "alpha omega_c temperature drive amp_ratio out sweep min max "
+         "points spacing harmonics"),
+        (["scan", "--sweep", "temperature", "--min", "1", "--max", "2",
+          "--points", "2", "--drive", "cdt", "--temperature", "3"],
+         "alpha omega_c drive amp_ratio omega out sweep min max points "
+         "spacing"),
+        (["evolve", "--t-max", "1"],
+         "alpha omega_c temperature drive amp_ratio omega out tol s0 t_max "
+         "dt_out"),
+        (["evolve", "--drive", "dd", "--amp-ratio", "2.4", "--t-max", "1"],
+         "alpha omega_c temperature drive amp_ratio omega out tol s0 t_max "
+         "dt_out substeps period_error"),
+        (["fig1"], "alpha omega_c temperature amp_ratio out harmonics"),
+    ], ids=["rates", "scan-omega", "scan-temperature", "evolve",
+            "evolve-dd", "fig1"])
+    def test_header_records_the_command_keys(self, tmp_path, argv, keys):
+        # the command's keys but the swept one, which the first column
+        # holds, and the diagnostics harmonics, substeps and period_error
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        comments, _, _ = read_csv(out)
+        matches = [re.match(r"# (\w+) = ", c) for c in comments]
+        assert sorted(m[1] for m in matches if m) == sorted(keys.split())
+
+    @pytest.mark.parametrize("drive, noted", [
+        ("dd", True), ("cdt", True), ("none", False)])
+    def test_driven_scan_notes_eta_references(self, tmp_path, drive,
+                                              noted):
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--sweep", "amp_ratio", "--min", "0", "--max",
+                     "3", "--points", "4", "--drive", drive, "--omega",
+                     "50", "--out", str(out)]) == 0
+        comments, _, _ = read_csv(out)
+        assert ("# reference: eta = 0.25 (improvement on average), "
+                "eta = 1 (improvement for any initial state)" in comments) \
+            == noted
+
+    @pytest.mark.parametrize("workload",
+                             ["sweep", "trajectory", "dense_output"])
+    def test_benchmark_argv_is_accepted(self, monkeypatch, workload):
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import workloads
+        for op in workloads.build(workload, 1):
+            args = build_parser().parse_args(op.argv + ["--out", "op.csv"])
+            assert args.command == op.argv[0]
 
 
 _POWERS_OF_TEN = np.array([float(f"1e{k}") for k in range(-323, 309)])
