@@ -18,7 +18,7 @@ OMEGA = 100.0
 
 print("Effective splitting vs drive strength x = 2A/Omega:")
 for x in (0.0, 1.0, 2.0, J0_FIRST_ZERO, 3.0):
-    drive = Drive.from_ratio("cdt", x, OMEGA)
+    drive = Drive("cdt", x, OMEGA)
     print(f"  x = {x:8.5f}   Delta_eff/Delta = "
           f"{effective_splitting(drive):+8.5f}")
 
@@ -26,7 +26,7 @@ print()
 print("Coherent freeze (alpha = 0, 50 driving periods):")
 coherent_bath = BathSpec(0.0, 500.0, 1.0)
 for x, label in ((0.0, "undriven"), (J0_FIRST_ZERO, "CDT point")):
-    drive = Drive.from_ratio("cdt", x, OMEGA)
+    drive = Drive("cdt", x, OMEGA)
     traj = evolve(coherent_bath, drive, (1.0, 0.0, 0.0),
                   t_max=50.0 * drive.period, dt_out=drive.period,
                   tol=1e-10)
@@ -38,7 +38,7 @@ print("Decoherence slowdown at low temperature (alpha = 0.01, T = 0.01):")
 bath = BathSpec(0.01, 500.0, 0.01)
 gamma = rate_static(bath)
 for x in (0.5, 1.0, 2.0):
-    drive = Drive.from_ratio("cdt", x, 1000.0)
+    drive = Drive("cdt", x, 1000.0)
     ratio = rate_cdt(drive, bath) / gamma
     print(f"  x = {x:3.1f}   Gamma_CDT/Gamma = {ratio:.5f}   "
           f"J0(x) = {bessel_j(0, x):.5f}")

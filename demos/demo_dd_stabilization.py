@@ -25,7 +25,7 @@ header = "Omega/Delta".rjust(12) + "".join(
     f"   eta(T={t:g})".rjust(14) for t in TEMPERATURES)
 print(header)
 for omega in omegas:
-    drive = Drive.from_ratio("dd", AMP_RATIO, omega)
+    drive = Drive("dd", AMP_RATIO, omega)
     etas = [stabilization_eta(bath, drive) for bath in baths]
     marks = "".join(f"{eta:14.4g}" for eta in etas)
     note = ""

@@ -19,7 +19,7 @@ OMEGA_C = 500.0
 for temperature in (0.2, 1.0, 5.0):
     bath = BathSpec(ALPHA, OMEGA_C, temperature)
     gamma = rate_static(bath)
-    traj = evolve(bath, Drive.none(), (0.0, 0.0, 1.0),
+    traj = evolve(bath, Drive(), (0.0, 0.0, 1.0),
                   t_max=10.0 / gamma, dt_out=0.5 / gamma, tol=1e-10)
     target = steady_state(bath).vec
 
@@ -32,7 +32,7 @@ print()
 print("Entropy history at T = 1 (time in units of 1/Gamma):")
 bath = BathSpec(ALPHA, OMEGA_C, 1.0)
 gamma = rate_static(bath)
-traj = evolve(bath, Drive.none(), (0.0, 0.0, 1.0),
+traj = evolve(bath, Drive(), (0.0, 0.0, 1.0),
               t_max=10.0 / gamma, dt_out=1.0 / gamma, tol=1e-10)
 for t, entropy in zip(traj.t, traj.entropy):
     bar = "#" * int(120 * entropy)

@@ -35,13 +35,22 @@ def _warn_points(mask, message: str, *params):
         warnings.warn(message, RegimeWarning, stacklevel=4)
 
 
+def _check_range(value, message: str, positive: bool = False):
+    """ValueError(message) unless every point of value is finite and
+    non-negative, or positive; NaN and inf fail."""
+    below = np.less_equal if positive else np.less
+    if np.any(~np.isfinite(value) | below(value, 0.0)):
+        raise ValueError(message)
+
+
 @dataclass(frozen=True)
 class BathSpec:
     """Ohmic bath with J(w) = 2*pi*alpha*w*exp(-w/omega_c).
 
-    alpha       dimensionless coupling strength (> 0)
-    omega_c     cutoff frequency in units of Delta (> 0)
-    temperature in units of hbar*Delta/k_B; 0 means T = 0 (beta infinite)
+    alpha       dimensionless coupling strength (finite, >= 0)
+    omega_c     cutoff frequency in units of Delta (finite, > 0)
+    temperature in units of hbar*Delta/k_B (finite, >= 0); T = 0 means
+                beta infinite
     """
 
     alpha: float
@@ -50,13 +59,11 @@ class BathSpec:
 
     def __post_init__(self):
         params = (self.alpha, self.omega_c, self.temperature)
-        # written as "not >=" so that NaN fails the check too
-        if np.any(~np.greater_equal(self.alpha, 0.0)):
-            raise ValueError("alpha must be non-negative")
-        if np.any(~np.greater(self.omega_c, 0.0)):
-            raise ValueError("omega_c must be positive")
-        if np.any(~np.greater_equal(self.temperature, 0.0)):
-            raise ValueError("temperature must be non-negative")
+        _check_range(self.alpha, "alpha must be finite and non-negative")
+        _check_range(self.omega_c, "omega_c must be finite and positive",
+                     positive=True)
+        _check_range(self.temperature,
+                     "temperature must be finite and non-negative")
         _warn_points(
             np.multiply(self.alpha, np.log(np.maximum(self.omega_c, 1.0)))
             > 0.1,

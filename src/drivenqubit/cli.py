@@ -120,8 +120,8 @@ def _one_temperature(cfg: dict, command: str) -> float:
 
 def _drive_from(cfg: dict) -> Drive:
     if cfg["drive"] == NONE:
-        return Drive.none()
-    return Drive.from_ratio(cfg["drive"], cfg["amp_ratio"], cfg["omega"])
+        return Drive()
+    return Drive(cfg["drive"], cfg["amp_ratio"], cfg["omega"])
 
 
 def _text(value) -> str:
@@ -397,7 +397,7 @@ def cmd_fig1(cfg: dict) -> int:
     temps = cfg["temperature"]
     # (omega, temperature) grid in one call: omegas down, temperatures across
     bath = BathSpec(cfg["alpha"], cfg["omega_c"], np.array(temps))
-    drive = Drive.from_ratio(DD, cfg["amp_ratio"], omegas[:, None])
+    drive = Drive(DD, cfg["amp_ratio"], omegas[:, None])
     rows = np.column_stack([omegas, stabilization_eta(bath, drive)])
 
     header = ["omega"] + [f"eta_T{t:g}" for t in temps]

@@ -6,11 +6,12 @@ the splitting renormalizes to Delta_eff = J0(2A/Omega)*Delta.  A field
 along sigma_z commutes with the qubit Hamiltonian and acts as
 continuous-wave dynamical decoupling.  propagator and effective_splitting
 take either kind; the time-averaged coupling operator lives in rates
-(effective_coupling), next to the rates it is built from.  The sole
-dimensionless drive strength used downstream is x = 2A/Omega.
+(effective_coupling), next to the rates it is built from.  Every closed
+form depends on the drive strength through x = 2A/Omega alone, so Drive
+stores x: a grid of frequencies at one drive strength has one x.
 
-Amplitudes and frequencies may be numpy arrays of parameter points; the
-rate functions then evaluate the whole grid in one broadcast.
+Drive strengths and frequencies may be numpy arrays of parameter points;
+the rate functions then evaluate the whole grid in one broadcast.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import BathSpec, _warn_points, power_spectrum
+from .bath import BathSpec, _check_range, _warn_points, power_spectrum
 from .operators import ID2, PAULIS, SX, SZ, QubitOperator, pauli_rotation
 
 NONE, CDT, DD = "none", "cdt", "dd"
@@ -32,53 +33,31 @@ Z_AXIS = (0.0, 0.0, 1.0)
 
 @dataclass(frozen=True)
 class Drive:
-    """Harmonic drive H_D(t) = A * sigma_axis * cos(Omega t).
+    """Harmonic drive H_D(t) = A * sigma_axis * cos(Omega t), stored as x.
 
     kind       one of "none", "cdt" (sigma_x drive) or "dd" (sigma_z drive)
-    amplitude  A, energy in units of hbar*Delta (>= 0)
-    omega      Omega, frequency in units of Delta (> 0 when driven)
+    amp_ratio  x = 2A/Omega, the argument of all Bessel factors (finite,
+               >= 0)
+    omega      Omega, frequency in units of Delta (finite, > 0 when driven)
+
+    Drive() is the undriven drive.
     """
 
     kind: str = NONE
-    amplitude: float = 0.0
+    amp_ratio: float = 0.0
     omega: float = 0.0
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown drive kind {self.kind!r}")
-        # written as "not >=" so that NaN fails the check too
-        if np.any(~np.greater_equal(self.amplitude, 0.0)):
-            raise ValueError("amplitude must be non-negative")
+        _check_range(self.amp_ratio, "amp_ratio must be finite and "
+                     "non-negative")
         if self.kind != NONE:
-            if np.any(~np.greater(self.omega, 0.0)):
-                raise ValueError("driven kinds require omega > 0")
+            _check_range(self.omega, "driven kinds require finite omega > 0",
+                         positive=True)
             _warn_points(np.less(self.omega, 10.0),
                          "high-frequency approximation assumes Omega >> "
-                         "Delta (Omega >= 10 recommended)", self.amplitude)
-
-    @classmethod
-    def none(cls) -> "Drive":
-        return cls(NONE, 0.0, 0.0)
-
-    @classmethod
-    def cdt(cls, amplitude: float, omega: float) -> "Drive":
-        return cls(CDT, amplitude, omega)
-
-    @classmethod
-    def dd(cls, amplitude: float, omega: float) -> "Drive":
-        return cls(DD, amplitude, omega)
-
-    @classmethod
-    def from_ratio(cls, kind: str, amp_ratio: float, omega: float) -> "Drive":
-        """Build from the dimensionless strength x = 2A/Omega."""
-        return cls(kind, 0.5 * amp_ratio * omega, omega)
-
-    @property
-    def amp_ratio(self) -> float:
-        """x = 2A/Omega, the argument of all Bessel factors."""
-        if self.kind == NONE:
-            return 0.0
-        return 2.0 * self.amplitude / self.omega
+                         "Delta (Omega >= 10 recommended)", self.amp_ratio)
 
     @property
     def period(self) -> float:
@@ -165,7 +144,7 @@ def effective_splitting(drive: Drive) -> float:
 def propagator(drive: Drive, t: float, t0: float) -> QubitOperator:
     """High-frequency propagator of a driven qubit, for either drive kind.
 
-    U(t, t0) = exp(-i*(A/Omega)*[sin(Omega t) - sin(Omega t0)]*sigma_axis)
+    U(t, t0) = exp(-i*(x/2)*[sin(Omega t) - sin(Omega t0)]*sigma_axis)
              * exp(-i*(Delta_eff/2)*(t - t0)*sigma_z)
 
     with axis x for CDT and z for DD.  For DD both factors commute and
@@ -174,10 +153,10 @@ def propagator(drive: Drive, t: float, t0: float) -> QubitOperator:
     """
     if drive.kind == NONE:
         raise ValueError("propagator needs a driven kind")
-    phase = (drive.amplitude / drive.omega) * (
+    angle = drive.amp_ratio * (
         math.sin(drive.omega * t) - math.sin(drive.omega * t0))
     axis = X_AXIS if drive.kind == CDT else Z_AXIS
-    return (pauli_rotation(axis, 2.0 * phase)
+    return (pauli_rotation(axis, angle)
             @ pauli_rotation(Z_AXIS, effective_splitting(drive) * (t - t0)))
 
 
@@ -284,8 +263,8 @@ def numeric_q_oracle(drive: Drive, bath: BathSpec, grid_t: int = 64,
     theta1 = 2.0 * np.pi * np.arange(n1) / n1               # Omega*tau
     theta2 = 2.0 * np.pi * np.arange(n2) / n2               # omega2*tau
 
-    # U_P(t - tau, t) = exp(-i*(A/Omega)*[sin(psi - theta1) - sin(psi)]*axis)
-    phi = (drive.amplitude / drive.omega) * (
+    # U_P(t - tau, t) = exp(-i*(x/2)*[sin(psi - theta1) - sin(psi)]*axis)
+    phi = 0.5 * drive.amp_ratio * (
         np.sin(psi[:, None] - theta1[None, :]) - np.sin(psi)[:, None])
     u_p = _rotation_matrices(axis_mat, phi)                 # (t, th1, 2, 2)
     u_f = _rotation_matrices(SZ, 0.5 * theta2)              # (th2, 2, 2)

@@ -76,8 +76,8 @@ def _generator(bath: BathSpec, drive: Drive):
     A(t) = A0 + cos(Omega t) A1.  A0 = [[-M0, b], [0, 0]] holds the
     undriven decay matrix M0 (precession about z at Delta = 1, damping
     Gamma_eff of s_y and s_z) and the inhomogeneity b = (0, 0, -pi*alpha);
-    A1 is the drive's rotation at rate 2A about x (CDT) or about z (DD),
-    zero undriven.
+    A1 is the drive's rotation at rate 2A = x*Omega about x (CDT) or about
+    z (DD), zero undriven.
     """
     gamma_eff = effective_rate(bath, drive)
     a0 = np.zeros((4, 4))
@@ -86,7 +86,7 @@ def _generator(bath: BathSpec, drive: Drive):
     a0[1, 1] = a0[2, 2] = -gamma_eff
     a0[2, 3] = -math.pi * bath.alpha
     a1 = np.zeros((4, 4))
-    w = 2.0 * drive.amplitude
+    w = drive.amp_ratio * drive.omega
     if drive.kind == CDT:
         # rotation about x: ds_y/dt = +w*s_z, ds_z/dt = -w*s_y
         a1[1, 2], a1[2, 1] = w, -w

@@ -95,7 +95,7 @@ def stabilization_eta(bath: BathSpec, drive: Drive) -> float:
     with it, gamma_driven = 2*Gamma_eff, for either drive kind (for DD
     the paper's eta, for CDT its analogue).  eta > 1 guarantees
     improvement for any initial state; eta > 1/4 improvement on average
-    (eta = 1/4 exactly without a drive or at A = 0).  Returns inf (with a
+    (eta = 1/4 exactly without a drive or at x = 0).  Returns inf (with a
     warning) if the driven rate vanishes, which needs T = 0 and x at a J0
     zero, and for DD also all harmonics beyond the cutoff.
     """

@@ -69,19 +69,19 @@ def rate_dd_series(x, omega, alpha, omega_c, temperature):
         return float(total / 2)
 
 
-def bloch_reference(kind, amplitude, omega, gamma, alpha, s0, times, tol,
+def bloch_reference(kind, amp_ratio, omega, gamma, alpha, s0, times, tol,
                     delta=1.0):
     """Bloch trajectory by one adaptive DOP853 run over every drive cycle.
 
     Integrates ds/dt = s x w(t) - diag(0, G, G) s + b, b = (0, 0,
     -pi*alpha*Delta), with w = (0, 0, Delta + 2A cos(Omega t)) for the
     sigma_z ("dd") drive, w = (2A cos(Omega t), 0, Delta) for the sigma_x
-    ("cdt") drive and w = (0, 0, Delta) undriven, at rtol = atol = tol/10,
+    ("cdt") drive and w = (0, 0, Delta) undriven, 2A = amp_ratio*Omega, at rtol = atol = tol/10,
     and returns the states at the sample times, shape (len(times), 3).
     """
     b_z = -math.pi * alpha * delta
-    drive_x = 2.0 * amplitude if kind == "cdt" else 0.0
-    drive_z = 2.0 * amplitude if kind == "dd" else 0.0
+    drive_x = amp_ratio * omega if kind == "cdt" else 0.0
+    drive_z = amp_ratio * omega if kind == "dd" else 0.0
 
     def rhs(t, s):
         c = math.cos(omega * t)

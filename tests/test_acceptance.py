@@ -57,7 +57,7 @@ def test_criterion_02_decay_eigenvalues():
 def test_criterion_03_thermalization(temperature):
     bath = BathSpec(0.01, 500.0, temperature)
     gamma_rel = rate_static(bath)
-    traj = evolve(bath, Drive.none(), (0, 0, 1), 20.0 / gamma_rel,
+    traj = evolve(bath, Drive(), (0, 0, 1), 20.0 / gamma_rel,
                   1.0 / gamma_rel, tol=1e-10)
     target = -math.tanh(0.5 / temperature)
     assert abs(traj.s[-1][2] - target) < 1e-6
@@ -65,9 +65,9 @@ def test_criterion_03_thermalization(temperature):
 
 
 @pytest.mark.parametrize("drive,gamma_eff_fn", [
-    (Drive.none(), lambda b, d: rate_static(b)),
-    (Drive.from_ratio("cdt", 1.2, 100.0), rate_cdt),
-    (Drive.from_ratio("dd", 2.4, 1000.0), lambda b, d: rate_dd(d, b)),
+    (Drive(), lambda b, d: rate_static(b)),
+    (Drive("cdt", 1.2, 100.0), rate_cdt),
+    (Drive("dd", 2.4, 1000.0), lambda b, d: rate_dd(d, b)),
 ], ids=["none", "cdt", "dd"])
 def test_criterion_04_entropy_production_average(drive, gamma_eff_fn):
     bath = BathSpec(0.01, 500.0, 1.0)
@@ -84,7 +84,7 @@ def test_criterion_04_entropy_production_average(drive, gamma_eff_fn):
 @pytest.mark.parametrize("x", [0.5, 1.0, 2.0])
 def test_criterion_05_cdt_low_temperature_limit(x):
     bath = BathSpec(0.01, 500.0, 0.01)
-    drive = Drive.from_ratio("cdt", x, 1000.0)
+    drive = Drive("cdt", x, 1000.0)
     ratio = rate_cdt(drive, bath) / rate_static(bath)
     assert abs(ratio - bessel_j(0, x)) <= 1e-3
     ok(f"criterion 5: low-T CDT suppression by J0({x})")
@@ -92,7 +92,7 @@ def test_criterion_05_cdt_low_temperature_limit(x):
 
 def test_criterion_06_cdt_high_temperature_limit():
     bath = BathSpec(0.01, 500.0, 1000.0)
-    drive = Drive.from_ratio("cdt", 2.0, 1000.0)
+    drive = Drive("cdt", 2.0, 1000.0)
     gamma_cdt = 2.0 * rate_cdt(drive, bath)
     classical = 4.0 * math.pi * bath.alpha * bath.temperature
     assert abs(gamma_cdt - classical) / classical <= 1e-2
@@ -100,7 +100,7 @@ def test_criterion_06_cdt_high_temperature_limit():
 
 
 def test_criterion_07_cdt_freeze():
-    drive = Drive.from_ratio("cdt", 2.404825, 100.0)
+    drive = Drive("cdt", 2.404825, 100.0)
     bath = BathSpec(0.0, 500.0, 1.0)
     traj = evolve(bath, drive, (1, 0, 0), 50.0 * drive.period,
                   drive.period / 8.0, tol=1e-10)
@@ -113,7 +113,7 @@ def test_criterion_07_cdt_freeze():
 def test_criterion_08_q_oracle_equivalence(x, temperature):
     bath = BathSpec(0.01, 500.0, temperature)
     for kind in ("cdt", "dd"):
-        drive = Drive.from_ratio(kind, x, 1000.0)
+        drive = Drive(kind, x, 1000.0)
         expected = effective_coupling(drive, bath)
         got = numeric_q_oracle(drive, bath, grid_t=64, n_harmonics=40)
         assert got.cx == pytest.approx(expected.cx, rel=1e-6)
@@ -125,16 +125,16 @@ def test_criterion_09_dd_threshold_identities():
     temperatures = [0.1, 1.0, 10.0]
     for temperature in temperatures:
         bath = BathSpec(0.01, 500.0, temperature)
-        assert stabilization_eta(bath, Drive.dd(0.0, 100.0)) == \
+        assert stabilization_eta(bath, Drive("dd", 0.0, 100.0)) == \
             pytest.approx(0.25, rel=1e-14)
-        low = stabilization_eta(bath, Drive.from_ratio("dd", 2.4, 10.0))
-        high = stabilization_eta(bath, Drive.from_ratio("dd", 2.4, 1.0e4))
+        low = stabilization_eta(bath, Drive("dd", 2.4, 10.0))
+        high = stabilization_eta(bath, Drive("dd", 2.4, 1.0e4))
         assert low < 0.25
         assert high > 1.0
     eta_cold = stabilization_eta(BathSpec(0.01, 500.0, 0.1),
-                                 Drive.from_ratio("dd", 2.4, 1.0e4))
+                                 Drive("dd", 2.4, 1.0e4))
     eta_hot = stabilization_eta(BathSpec(0.01, 500.0, 10.0),
-                                Drive.from_ratio("dd", 2.4, 1.0e4))
+                                Drive("dd", 2.4, 1.0e4))
     assert eta_hot > eta_cold
     ok("criterion 9: DD thresholds (eta = 1/4 at A=0; figure qualitative)")
 

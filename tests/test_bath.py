@@ -22,10 +22,18 @@ class TestBathSpec:
             BathSpec(0.01, 0.0, 1.0)
         with pytest.raises(ValueError):
             BathSpec(0.01, 500.0, -1.0)
-        for params in ((math.nan, 500.0, 1.0), (0.01, math.nan, 1.0),
-                       (0.01, 500.0, math.nan),
-                       (np.array([0.01, math.nan]), 500.0, 1.0)):
-            with pytest.raises(ValueError):
+        nan, inf = math.nan, math.inf
+        for params, name in (((nan, 500.0, 1.0), "alpha"),
+                             ((0.01, nan, 1.0), "omega_c"),
+                             ((0.01, 500.0, nan), "temperature"),
+                             ((np.array([0.01, nan]), 500.0, 1.0), "alpha"),
+                             ((inf, 500.0, 1.0), "alpha"),
+                             ((0.01, inf, 1.0), "omega_c"),
+                             ((0.01, -inf, 1.0), "omega_c"),
+                             ((0.01, 500.0, inf), "temperature"),
+                             ((0.01, 500.0, np.array([1.0, inf])),
+                              "temperature")):
+            with pytest.raises(ValueError, match=name):
                 BathSpec(*params)
 
     def test_beta_sentinel_at_zero_temperature(self):

@@ -59,8 +59,19 @@ class TestRates:
         assert abs(delta_eff) < 1e-5
 
     def test_nan_parameter_is_usage_error(self, capsys):
-        assert main(["rates", "--alpha", "nan"]) == 2
-        assert "alpha" in capsys.readouterr().err
+        for argv, name in (
+                (["rates", "--alpha", "nan"], "alpha"),
+                (["rates", "--temperature", "inf"], "temperature"),
+                (["evolve", "--temperature", "inf", "--t-max", "1"],
+                 "temperature"),
+                (["rates", "--drive", "dd", "--amp-ratio", "2.4",
+                  "--omega-c", "inf"], "omega_c"),
+                (["rates", "--drive", "dd", "--amp-ratio", "2.4",
+                  "--omega", "inf"], "finite omega"),
+                (["rates", "--drive", "cdt", "--amp-ratio", "inf"],
+                 "amp_ratio")):
+            assert main(argv) == 2
+            assert name in capsys.readouterr().err
 
     def test_dd_beyond_the_harmonic_limit_is_usage_error(self, capsys):
         assert main(["rates", "--drive", "dd", "--amp-ratio", "800",
@@ -174,6 +185,13 @@ class TestScan:
                      "--temperature", "1", "--temperature", "10",
                      "--out", str(tmp_path / "dd.csv")]) == 0
         assert len(calls) == 2
+        assert main(["fig1", "--amp-ratio", "1.7",
+                     "--out", str(tmp_path / "fig1.csv")]) == 0
+        assert len(calls) == 3
+        # the x of every frequency grid is the flag's number, one 0-d value
+        xs = [drive.amp_ratio for drive, _ in calls]
+        assert [np.ndim(x) for x in xs] == [0, 0, 0]
+        assert xs == [2.4, 2.4, 1.7]
 
     @pytest.mark.parametrize("drive, line", [("dd", "# harmonics = 84"),
                                              ("cdt", None), ("none", None)])
@@ -251,7 +269,7 @@ class TestScan:
         assert warnings.formatwarning is python_format
 
     @pytest.mark.parametrize("sweep, drive, message", [
-        ("omega", "dd", "omega > 0"), ("amp_ratio", "cdt", "amplitude"),
+        ("omega", "dd", "omega > 0"), ("amp_ratio", "cdt", "amp_ratio"),
         ("temperature", "none", "temperature"), ("alpha", "dd", "alpha")])
     def test_invalid_grid_point_is_usage_error(self, capsys, sweep, drive,
                                                message):

@@ -33,7 +33,7 @@ class TestGenerator:
 
     def test_undriven_matches_closed_form(self):
         bath = make_bath()
-        m, b = generator_at(bath, Drive.none(), t=0.0)
+        m, b = generator_at(bath, Drive(), t=0.0)
         gamma = rate_static(bath)
         expected = np.array([[0.0, -1.0, 0.0],
                              [1.0, gamma, 0.0],
@@ -43,7 +43,7 @@ class TestGenerator:
 
     def test_cdt_at_zero_drive_phase_velocity(self):
         bath = make_bath()
-        d = Drive.from_ratio("cdt", 2.4, 100.0)
+        d = Drive("cdt", 2.4, 100.0)
         t = 0.25 * d.period  # cos(Omega t) = 0
         m, _ = generator_at(bath, d, t)
         gamma_cdt = rate_cdt(d, bath)
@@ -53,15 +53,15 @@ class TestGenerator:
 
     def test_dd_with_zero_amplitude_reduces_to_undriven(self):
         bath = make_bath()
-        m_dd, b_dd = generator_at(bath, Drive.dd(0.0, 100.0), t=0.4)
-        m_none, b_none = generator_at(bath, Drive.none(), t=0.4)
+        m_dd, b_dd = generator_at(bath, Drive("dd", 0.0, 100.0), t=0.4)
+        m_none, b_none = generator_at(bath, Drive(), t=0.4)
         assert np.allclose(m_dd, m_none)
         assert np.allclose(b_dd, b_none)
 
     def test_trace_is_time_independent(self):
         bath = make_bath(temperature=3.0)
-        drives = [Drive.none(), Drive.from_ratio("cdt", 1.7, 120.0),
-                  Drive.from_ratio("dd", 2.4, 250.0)]
+        drives = [Drive(), Drive("cdt", 1.7, 120.0),
+                  Drive("dd", 2.4, 250.0)]
         rates = [rate_static(bath),
                  rate_cdt(drives[1], bath),
                  rate_dd(drives[2], bath)]
@@ -72,21 +72,21 @@ class TestGenerator:
 
     def test_inhomogeneity_unchanged_by_driving(self):
         bath = make_bath()
-        for drive in (Drive.none(), Drive.from_ratio("cdt", 2.4, 100.0),
-                      Drive.from_ratio("dd", 2.4, 100.0)):
+        for drive in (Drive(), Drive("cdt", 2.4, 100.0),
+                      Drive("dd", 2.4, 100.0)):
             _, b = generator_at(bath, drive, t=0.123)
             assert np.allclose(b, [0.0, 0.0, -math.pi * bath.alpha])
 
     def test_dissipation_never_damps_sx(self):
         bath = make_bath()
-        for drive in (Drive.none(), Drive.from_ratio("cdt", 2.4, 100.0),
-                      Drive.from_ratio("dd", 2.4, 100.0)):
+        for drive in (Drive(), Drive("cdt", 2.4, 100.0),
+                      Drive("dd", 2.4, 100.0)):
             m, _ = generator_at(bath, drive, t=0.3)
             assert m[0, 0] == 0.0
 
     def test_entropy_rate_of_poles(self):
         bath = make_bath()
-        gamma_eff, a0, _ = dynamics._generator(bath, Drive.none())
+        gamma_eff, a0, _ = dynamics._generator(bath, Drive())
         gamma = rate_static(bath)
         b3 = math.pi * bath.alpha
 
@@ -104,14 +104,14 @@ class TestEvolve:
 
     def test_sigma_z_pole_is_fixed_without_dissipation(self):
         bath = BathSpec(0.0, 500.0, 1.0)
-        traj = evolve(bath, Drive.none(), (0, 0, 1), 20.0, 0.5, tol=1e-10)
+        traj = evolve(bath, Drive(), (0, 0, 1), 20.0, 0.5, tol=1e-10)
         assert np.max(np.abs(traj.s - [0, 0, 1])) < 1e-9
         assert np.max(np.abs(traj.entropy)) < 1e-9
 
     def test_free_precession_closed_form(self):
         # ds_x/dt = +s_y, ds_y/dt = -s_x  =>  (cos t, -sin t, 0)
         bath = BathSpec(0.0, 500.0, 1.0)
-        traj = evolve(bath, Drive.none(), (1, 0, 0), 30.0, 0.1, tol=1e-11)
+        traj = evolve(bath, Drive(), (1, 0, 0), 30.0, 0.1, tol=1e-11)
         assert np.max(np.abs(traj.s[:, 0] - np.cos(traj.t))) < 1e-8
         assert np.max(np.abs(traj.s[:, 1] + np.sin(traj.t))) < 1e-8
         assert np.max(np.abs(traj.s[:, 2])) < 1e-10
@@ -120,7 +120,7 @@ class TestEvolve:
         bath = BathSpec(0.0, 500.0, 1.0)
         tol = 1e-9
         t_max = 100 * 2 * math.pi
-        traj = evolve(bath, Drive.none(), (1, 0, 0), t_max, t_max / 500,
+        traj = evolve(bath, Drive(), (1, 0, 0), t_max, t_max / 500,
                       tol=tol)
         norms = np.linalg.norm(traj.s, axis=1)
         assert np.max(np.abs(norms - 1.0)) < 10 * tol
@@ -128,14 +128,14 @@ class TestEvolve:
     def test_thermalization_to_steady_state(self):
         bath = make_bath()
         gamma = rate_static(bath)
-        traj = evolve(bath, Drive.none(), (0, 0, 1), 20 / gamma, 1 / gamma,
+        traj = evolve(bath, Drive(), (0, 0, 1), 20 / gamma, 1 / gamma,
                       tol=1e-10)
         target = steady_state(bath).vec
         assert np.max(np.abs(traj.s[-1] - target)) < 1e-6
 
     def test_entropy_fields_consistent(self):
         bath = make_bath()
-        traj = evolve(bath, Drive.none(), (0.3, 0.1, 0.9), 5.0, 0.05,
+        traj = evolve(bath, Drive(), (0.3, 0.1, 0.9), 5.0, 0.05,
                       tol=1e-10)
         assert np.all(np.diff(traj.t) > 0.0)
         assert np.all(traj.entropy >= -1e-12)
@@ -147,7 +147,7 @@ class TestEvolve:
         assert np.max(np.abs(fd - traj.entropy_rate)) < 5e-3
 
     def test_cdt_freeze_of_sigma_x_eigenstate(self):
-        d = Drive.from_ratio("cdt", J0_FIRST_ZERO, 100.0)
+        d = Drive("cdt", J0_FIRST_ZERO, 100.0)
         bath = BathSpec(0.0, 500.0, 1.0)
         traj = evolve(bath, d, (1, 0, 0), 50 * d.period, d.period / 8,
                       tol=1e-10)
@@ -156,22 +156,22 @@ class TestEvolve:
     def test_validates_inputs(self):
         bath = make_bath()
         with pytest.raises(ValueError):
-            evolve(bath, Drive.none(), (1.2, 0, 0), 1.0, 0.1)
+            evolve(bath, Drive(), (1.2, 0, 0), 1.0, 0.1)
         with pytest.raises(ValueError):
-            evolve(bath, Drive.none(), (1, 0, 0), -1.0, 0.1)
+            evolve(bath, Drive(), (1, 0, 0), -1.0, 0.1)
         with pytest.raises(ValueError):
-            evolve(bath, Drive.none(), (1, 0, 0), 1.0, 0.1, tol=1e-2)
+            evolve(bath, Drive(), (1, 0, 0), 1.0, 0.1, tol=1e-2)
         for t_max, dt_out in ((1.0, 0.0), (1.0, -0.1), (math.nan, 0.1),
                               (math.inf, 0.1), (1.0, math.nan)):
             with pytest.raises(ValueError):
-                evolve(bath, Drive.none(), (1, 0, 0), t_max, dt_out)
+                evolve(bath, Drive(), (1, 0, 0), t_max, dt_out)
         with pytest.raises(ValueError):
-            evolve(bath, Drive.none(), (math.nan, 0, 0), 1.0, 0.1)
+            evolve(bath, Drive(), (math.nan, 0, 0), 1.0, 0.1)
 
 
 def _reference(bath, drive, s0, times, tol):
     """bloch_reference for drive at its closed-form Gamma_eff."""
-    return bloch_reference(drive.kind, drive.amplitude, drive.omega,
+    return bloch_reference(drive.kind, drive.amp_ratio, drive.omega,
                            effective_rate(bath, drive), bath.alpha, s0,
                            times, tol)
 
@@ -182,7 +182,7 @@ def long_run(request):
     for Omega = 100, x = 2.4 (3183 drive periods); once per drive, as the
     CDT reference takes ~25 s."""
     bath = make_bath()
-    d = Drive.from_ratio(request.param, 2.4, 100.0)
+    d = Drive(request.param, 2.4, 100.0)
     s0 = (0.0, 0.6, 0.6)
     return bath, d, s0, _reference(bath, d, s0, np.arange(201.0), 1e-12)
 
@@ -194,7 +194,7 @@ class TestFloquetPropagator:
     @pytest.mark.parametrize("kind, t_max", [("dd", 20.0), ("cdt", 5.0)])
     def test_driven_matches_per_cycle_reference(self, kind, t_max):
         bath = make_bath()
-        d = Drive.from_ratio(kind, 2.4, 100.0)
+        d = Drive(kind, 2.4, 100.0)
         tol = 1e-10
         traj = evolve(bath, d, self.S0, t_max, 0.5, tol=tol)
         want = _reference(bath, d, self.S0, traj.t, 1e-12)
@@ -209,7 +209,7 @@ class TestFloquetPropagator:
     ])
     def test_sample_timing_cases(self, kind, periods, per_period):
         bath = make_bath()
-        d = Drive.from_ratio(kind, 2.4, 100.0)
+        d = Drive(kind, 2.4, 100.0)
         t_max, dt_out = periods * d.period, d.period / per_period
         tol = 1e-10
         traj = evolve(bath, d, self.S0, t_max, dt_out, tol=tol)
@@ -226,7 +226,7 @@ class TestFloquetPropagator:
                                [1.0, gamma, 0.0],
                                [0.0, 0.0, gamma]])
         a[2, 3] = -math.pi * bath.alpha
-        traj = evolve(bath, Drive.none(), self.S0, 5.0, 0.05)
+        traj = evolve(bath, Drive(), self.S0, 5.0, 0.05)
         v0 = np.append(self.S0, 1.0)
         for t, s in zip(traj.t, traj.s):
             want = (expm_series(a * t) @ v0).real[:3]
@@ -236,7 +236,7 @@ class TestFloquetPropagator:
     def test_magnus_error_is_fourth_order(self, kind):
         # the one-period error goes as N^-4, so each doubling cuts it ~16x
         bath = make_bath()
-        d = Drive.from_ratio(kind, 2.4, 100.0)
+        d = Drive(kind, 2.4, 100.0)
         _, a0, a1 = dynamics._generator(bath, d)
         want = _reference(bath, d, self.S0, [0.0, d.period], 1e-12)[-1]
         v0 = np.append(self.S0, 1.0)
@@ -249,7 +249,7 @@ class TestFloquetPropagator:
 
     def test_prefix_products_match_running_product(self):
         _, a0, a1 = dynamics._generator(make_bath(),
-                                        Drive.from_ratio("cdt", 2.4, 100.0))
+                                        Drive("cdt", 2.4, 100.0))
         levels = dynamics._step_tree(a0, a1, 100.0, 0.05, 16)
         running = [np.eye(4)]
         for step in levels[0]:
@@ -270,26 +270,26 @@ class TestFloquetPropagator:
     @pytest.mark.parametrize("x", [20.0, 50.0])
     def test_large_drive_amplitude(self, kind, x):
         bath = make_bath()
-        d = Drive.from_ratio(kind, x, 100.0)
+        d = Drive(kind, x, 100.0)
         tol = 1e-10
         traj = evolve(bath, d, self.S0, 5 * d.period, d.period / 7, tol=tol)
         want = _reference(bath, d, self.S0, traj.t, 1e-12)
         assert np.max(np.abs(traj.s - want)) <= 10 * tol
 
     def test_records_substeps_and_period_error(self):
-        d = Drive.from_ratio("dd", 2.4, 100.0)
+        d = Drive("dd", 2.4, 100.0)
         traj = evolve(make_bath(), d, self.S0, 20.0, 0.5, tol=1e-10)
         assert traj.substeps & (traj.substeps - 1) == 0
         assert 0.0 < math.ceil(20.0 / d.period) * traj.period_error <= 1e-10
         short = evolve(make_bath(), d, self.S0, 0.3 * d.period, 0.001)
         assert short.substeps < traj.substeps
-        undriven = evolve(make_bath(), Drive.none(), self.S0, 5.0, 0.5)
+        undriven = evolve(make_bath(), Drive(), self.S0, 5.0, 0.5)
         assert undriven.substeps is None and undriven.period_error is None
 
     def test_step_cap_warns_with_its_estimate(self):
         # 3183 periods at tol = 1e-12 ask for ~3e-16 per period, below the
         # rounding of the step product
-        d = Drive.from_ratio("dd", 2.4, 100.0)
+        d = Drive("dd", 2.4, 100.0)
         with pytest.warns(RegimeWarning) as record:
             traj = evolve(make_bath(), d, self.S0, 200.0, 1.0, tol=1e-12)
         assert len(record) == 1
@@ -301,7 +301,7 @@ class TestFloquetPropagator:
         # J0 zero at a low temperature: Gamma_DD < pi*alpha*Delta puts the
         # fixed point s_z = -pi*alpha*Delta/Gamma_DD far below -1
         bath = make_bath(temperature=0.1)
-        d = Drive.from_ratio("dd", 2.4048, 5000.0)
+        d = Drive("dd", 2.4048, 5000.0)
         s_z = -math.pi * bath.alpha / rate_dd(d, bath)
         assert s_z == pytest.approx(-8.17, abs=0.01)
         with pytest.raises(IntegrationDivergedError) as info:
@@ -328,7 +328,7 @@ class TestPowers:
     @staticmethod
     def undriven_step(dt):
         _, a0, _ = dynamics._generator(make_bath(temperature=0.1),
-                                       Drive.none())
+                                       Drive())
         return dynamics._expm(a0 * dt)
 
     @pytest.mark.parametrize("count", [1, 2, 3, 1000, 70_001])
@@ -362,14 +362,14 @@ class TestPowers:
         # vectors, gives the affine propagators Phi(tau) at every sample
         # phase and Phi(T); Phi(T)^n (s0, 1) is a running product.
         bath = BathSpec(1e-4, 500.0, 1.0)
-        d = Drive.from_ratio("cdt", 2.4, 100.0)
+        d = Drive("cdt", 2.4, 100.0)
         t_max = 16_000 * d.period
         tol = 1e-10
         traj = evolve(bath, d, self.V0[:3], t_max, t_max / 1400, tol=tol)
         n = np.floor(traj.t / d.period).astype(np.int64)
         tau = traj.t - n * d.period
         phases = np.unique(np.append(tau, d.period))
-        starts = [bloch_reference("cdt", d.amplitude, d.omega,
+        starts = [bloch_reference("cdt", d.amp_ratio, d.omega,
                                   effective_rate(bath, d), bath.alpha, s0,
                                   phases, 3e-13)
                   for s0 in np.vstack([np.zeros(3), np.eye(3)])]
@@ -388,7 +388,7 @@ class TestPowers:
     def test_memory_follows_samples_not_periods(self):
         # 101 samples over 1.6e8 drive periods: a table of every power up
         # to max(n) would take 5 GB
-        d = Drive.from_ratio("dd", 2.4, 100.0)
+        d = Drive("dd", 2.4, 100.0)
         t_max = 1.6e8 * d.period
         tracemalloc.start()
         try:
@@ -407,7 +407,7 @@ class TestExpm:
     def test_undriven_step_against_40_digit_exponential(self, temperature,
                                                         dt):
         _, a0, _ = dynamics._generator(make_bath(temperature=temperature),
-                                       Drive.none())
+                                       Drive())
         with mp.workdps(40):
             exact = mp.expm(mp.matrix((a0 * dt).tolist()))
         rounded = np.array(exact.tolist(), dtype=float)
@@ -432,7 +432,7 @@ class TestSteadyState:
 
     def test_matches_linear_solve_oracle(self):
         bath = make_bath()
-        m, b = generator_at(bath, Drive.none(), t=0.0)
+        m, b = generator_at(bath, Drive(), t=0.0)
         expected = np.linalg.solve(m, b)
         assert np.allclose(steady_state(bath).vec, expected, atol=1e-14)
 
@@ -491,22 +491,22 @@ class TestAverageEntropyProduction:
 
     def test_zero_without_dissipation(self):
         bath = BathSpec(0.0, 500.0, 1.0)
-        mean, sem = average_entropy_production(bath, Drive.none(), 2000,
+        mean, sem = average_entropy_production(bath, Drive(), 2000,
                                                seed=3)
         assert mean == pytest.approx(0.0, abs=1e-14)
 
     def test_undriven_trace_identity(self):
         bath = make_bath()
-        mean, sem = average_entropy_production(bath, Drive.none(), 100_000,
+        mean, sem = average_entropy_production(bath, Drive(), 100_000,
                                                seed=11)
         assert abs(mean - 2 * rate_static(bath) / 3) <= 3 * sem
 
     def test_dd_trace_identity(self):
         bath = make_bath()
-        d = Drive.from_ratio("dd", 2.4, 1000.0)
+        d = Drive("dd", 2.4, 1000.0)
         mean, sem = average_entropy_production(bath, d, 100_000, seed=12)
         assert abs(mean - 2 * rate_dd(d, bath) / 3) <= 3 * sem
 
     def test_requires_enough_samples(self):
         with pytest.raises(ValueError):
-            average_entropy_production(make_bath(), Drive.none(), 10)
+            average_entropy_production(make_bath(), Drive(), 10)
