@@ -10,9 +10,10 @@ tr M = 2*Gamma_eff at all times.
 M(t) repeats with the drive period T = 2*pi/Omega, so evolve builds the
 affine propagator over one period only and reaches every later sample
 through integer powers of it.  The one-period propagator is a product of
-fourth-order Magnus steps, each the matrix exponential (_expm) of a
-closed-form exponent, with as many steps as the whole run's error budget
-tol needs; an undriven run takes powers of one exponential.  The powers
+sixth-order Magnus steps, each the matrix exponential (_expm) of a
+closed-form exponent from A at three Gauss points, with as many steps as
+the whole run's error budget tol needs, or as the rounding of the step
+product allows; an undriven run takes powers of one exponential.  The powers
 for all samples come from one table built by doubling, a few whole-array
 matrix products (_powers).  The package runs on numpy alone.
 
@@ -140,32 +141,75 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 
 # the first Magnus step count has h*(|A0|_1 + |A1|_1) <= _MAGNUS_NORM.
-# Rounding in the step product grows with the count, from ~1e-14 per
-# period at 1024 steps; past _MAX_SUBSTEPS it outgrows the truncation
-# error that more steps would remove, so the count stops there.
+# An N-step product rounds by up to ~N*eps per period (measured against
+# long double: 0.01-0.2 N*eps for DD and CDT at x = 0.5-50, Omega =
+# 10-1000), so the count stops doubling once the truncation estimate is
+# below N*eps, which is within one doubling of where the two cross in all
+# 24 of those cases; it also stops at _MAX_SUBSTEPS, which bounds the
+# memory of the step tree.
 _MAGNUS_NORM = 0.5
 _MAX_SUBSTEPS = 2 ** 13
-_GAUSS_OFFSET = math.sqrt(3.0) / 6.0
+_EPS = float(np.finfo(float).eps)
+_GAUSS_OFFSET = math.sqrt(15.0) / 10.0
 
 
-def _magnus_exponents(a0, a1, omega, start, width):
-    """Fourth-order Magnus exponents of A(t) = A0 + cos(Omega t) A1, one
-    per interval [start, start + width] (arrays), shape (k, 4, 4).
+def _commutators(a0, a1):
+    """Basis of the sixth-order exponent of A(t) = A0 + cos(Omega t) A1.
 
-    With c1, c2 the cosines at the two Gauss points t1 < t2 of a step of
-    width h, the exponent h/2 (A(t1) + A(t2)) - sqrt(3)/12 h^2 [A(t1), A(t2)]
-    (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)) reads
-    h A0 + h (c1 + c2)/2 A1 + sqrt(3)/12 h^2 (c1 - c2) [A0, A1].
+    With K = [A0, A1], K0 = [A0, K] and K1 = [A1, K] the rows are A0, A1,
+    K, K0, K1, [A0, K0], [A1, K0], [A1, K1], [K, K0], [K, K1], each
+    flattened, shape (10, 16); [A0, K1] = [A1, K0] by the Jacobi identity.
+    Built once per run.
     """
-    h = np.asarray(width, dtype=float)[:, None, None]
-    mid = np.asarray(start, dtype=float)[:, None, None] + 0.5 * h
+    def comm(x, y):
+        return x @ y - y @ x
+
+    k = comm(a0, a1)
+    k0, k1 = comm(a0, k), comm(a1, k)
+    return np.stack([a0, a1, k, k0, k1, comm(a0, k0), comm(a1, k0),
+                     comm(a1, k1), comm(k, k0), comm(k, k1)]).reshape(10, -1)
+
+
+def _magnus_exponents(basis, omega, start, width):
+    """Sixth-order Magnus exponents of A(t) = A0 + cos(Omega t) A1, one
+    per interval [start, start + width] (arrays), shape (k, 4, 4); basis
+    is _commutators(A0, A1).
+
+    A step of width h samples A at its three Gauss points t1 < t2 < t3,
+    t2 - t1 = t3 - t2 = sqrt(15)/10 h, with cosines c1, c2, c3 there, and
+    takes (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009))
+        alpha1 = h A(t2),  alpha2 = sqrt(15)/3 h (A(t3) - A(t1)),
+        alpha3 = 10/3 h (A(t3) - 2 A(t2) + A(t1)),
+        C1 = [alpha1, alpha2],  C2 = -[alpha1, 2 alpha3 + C1]/60,
+        exponent = alpha1 + alpha3/12
+                   + [-20 alpha1 - alpha3 + C1, alpha2 + C2]/240.
+    Here alpha1 = h A0 + b A1, alpha2 = p A1 and alpha3 = q A1 with
+    b = h c2, p = sqrt(15)/3 h (c3 - c1) and q = 10/3 h (c3 - 2 c2 + c1),
+    so the exponent is a weighted sum of the rows of basis, the weights
+    polynomials in h, b, p and q: one (k, 10) by (10, 16) product.
+    """
+    h = np.asarray(width, dtype=float)
+    mid = np.asarray(start, dtype=float) + 0.5 * h
     c1 = np.cos(omega * (mid - _GAUSS_OFFSET * h))
-    c2 = np.cos(omega * (mid + _GAUSS_OFFSET * h))
-    return (h * a0 + 0.5 * h * (c1 + c2) * a1
-            + math.sqrt(3.0) / 12.0 * h * h * (c1 - c2) * (a0 @ a1 - a1 @ a0))
+    c2 = np.cos(omega * mid)
+    c3 = np.cos(omega * (mid + _GAUSS_OFFSET * h))
+    b = h * c2
+    p = math.sqrt(15.0) / 3.0 * h * (c3 - c1)
+    q = 10.0 / 3.0 * h * (c3 - 2.0 * c2 + c1)
+    u, s = h * p, 20.0 * b + q
+    weights = np.stack([
+        h, b + q / 12.0,                        # A0, A1
+        -u / 12.0, h * h * q / 360.0,           # K, K0
+        h * (q * s - 30.0 * p * p) / 7200.0,    # K1
+        h * h * u / 720.0,                      # [A0, K0]
+        h * u * (40.0 * b + q) / 14400.0,       # [A1, K0]
+        b * u * s / 14400.0,                    # [A1, K1]
+        -h * u * u / 14400.0,                   # [K, K0]
+        -b * u * u / 14400.0], axis=-1)         # [K, K1]
+    return (weights @ basis).reshape(-1, 4, 4)
 
 
-def _step_tree(a0, a1, omega, span, n):
+def _step_tree(basis, omega, span, n):
     """Levels of the tree product of n uniform Magnus steps over [0, span].
 
     Level 0 holds the n step propagators, exponentiated in one batched
@@ -174,7 +218,7 @@ def _step_tree(a0, a1, omega, span, n):
     power of two.
     """
     h = span / n
-    steps = _expm(_magnus_exponents(a0, a1, omega, np.arange(n) * h,
+    steps = _expm(_magnus_exponents(basis, omega, np.arange(n) * h,
                                     np.full(n, h)))
     levels = [steps]
     while len(steps) > 1:
@@ -199,29 +243,32 @@ def _prefix_products(levels, m: np.ndarray) -> np.ndarray:
     return phi
 
 
-def _one_period(a0, a1, omega, span, periods, tol):
+def _one_period(basis, omega, span, periods, tol):
     """Step tree of the one-period propagator and its error estimate.
 
     Starts from the power-of-two step count n at which h*(|A0|_1 + |A1|_1)
     <= 1/2, or from half of _MAX_SUBSTEPS if that is smaller.  The
-    fourth-order error e(N) = c N^-4 of Phi(span) is fitted to the
-    difference of the n- and 2n-step products, e(n) - e(2n) = 15/16 c n^-4,
+    sixth-order error e(N) = c N^-6 of Phi(span) is fitted to the
+    difference of the n- and 2n-step products, e(n) - e(2n) = 63/64 c n^-6,
     and the count doubles from 2n until periods * e(N) <= tol, so tol
     bounds the whole run.  e is the max row sum over the s rows, which
-    bounds the error Phi adds to s per period.  Past _MAX_SUBSTEPS one
-    RegimeWarning names the estimate reached.
+    bounds the error Phi adds to s per period.  The count also stops once
+    e(N) < N*eps, where the rounding of the step product outgrows e, and
+    at _MAX_SUBSTEPS; if periods * e(N) > tol there, one RegimeWarning
+    names the estimate reached.
     """
-    norm = np.abs(a0).sum(axis=0).max() + np.abs(a1).sum(axis=0).max()
+    norm = np.abs(basis[:2]).reshape(2, 4, 4).sum(axis=1).max(axis=1).sum()
     n = min(2 ** max(0, math.ceil(math.log2(span * norm / _MAGNUS_NORM))),
             _MAX_SUBSTEPS // 2)
-    coarse = _step_tree(a0, a1, omega, span, n)[-1][0]
-    levels = _step_tree(a0, a1, omega, span, 2 * n)
+    coarse = _step_tree(basis, omega, span, n)[-1][0]
+    levels = _step_tree(basis, omega, span, 2 * n)
     diff = float(np.abs(levels[-1][0, :3] - coarse[:3]).sum(axis=1).max())
-    c = 16.0 / 15.0 * diff * float(n) ** 4
-    count = 2 * n
-    while count < _MAX_SUBSTEPS and periods * c / float(count) ** 4 > tol:
+    c = 64.0 / 63.0 * diff * float(n) ** 6
+    count, error = 2 * n, c / float(2 * n) ** 6
+    while (count < _MAX_SUBSTEPS and periods * error > tol
+           and error > count * _EPS):
         count *= 2
-    error = c / float(count) ** 4
+        error = c / float(count) ** 6
     if periods * error > tol:
         warnings.warn(
             f"the one-period propagator stops at {count} Magnus steps with "
@@ -229,7 +276,7 @@ def _one_period(a0, a1, omega, span, periods, tol):
             f"periods that is {periods * error:.3e}, above tol = {tol:.3e}",
             RegimeWarning, stacklevel=3)
     if count > 2 * n:
-        levels = _step_tree(a0, a1, omega, span, count)
+        levels = _step_tree(basis, omega, span, count)
     return levels, error
 
 
@@ -304,11 +351,12 @@ def evolve(bath: BathSpec, drive: Drive, s0, t_max: float, dt_out: float,
     so its propagator factors as Phi(n*T + tau) = Phi(tau) Phi(T)^n
     (Floquet; Grifoni & Hanggi, Phys. Rep. 304, 229 (1998)).  Phi is
     built once, over [0, T] or over [0, t_max] when t_max < T, from N
-    uniform fourth-order Magnus steps: Phi(T) is their tree product, and
+    uniform sixth-order Magnus steps: Phi(T) is their tree product, and
     Phi(tau) at a sample's phase the product of the first floor(tau/h)
-    steps times one partial step.  N is the smallest power of two at
-    which ceil(t_max/T) times the one-period error estimate is <= tol
-    (see _one_period); the result records N (substeps) and the estimate
+    steps times one sixth-order partial step.  N is the smallest power of
+    two at which ceil(t_max/T) times the one-period error estimate is
+    <= tol, unless the rounding of the step product stops it first (see
+    _one_period); the result records N (substeps) and the estimate
     (period_error).  Phi(T)^n (s0, 1) comes from _powers: a table of the
     powers below the sample count, built by doubling, and binary powering
     from there on, so the cost does not grow with t_max / T.  An
@@ -350,13 +398,14 @@ def evolve(bath: BathSpec, drive: Drive, s0, t_max: float, dt_out: float,
         n = np.floor(t_eval / period).astype(np.int64)
         # t - n*T may round a hair outside [0, span]
         tau = np.clip(t_eval - n * period, 0.0, span)
-        levels, period_error = _one_period(a0, a1, omega, span,
+        basis = _commutators(a0, a1)
+        levels, period_error = _one_period(basis, omega, span,
                                            math.ceil(t_max / period), tol)
         substeps = len(levels[0])
         h = span / substeps
         phases, which = np.unique(tau, return_inverse=True)
         m = np.minimum(np.floor(phases / h).astype(np.int64), substeps)
-        phi = (_expm(_magnus_exponents(a0, a1, omega, m * h, phases - m * h))
+        phi = (_expm(_magnus_exponents(basis, omega, m * h, phases - m * h))
                @ _prefix_products(levels, m))
         step = levels[-1][0]
         v = _powers(step, n, v0)

@@ -233,24 +233,52 @@ class TestFloquetPropagator:
             assert np.max(np.abs(s - want)) < 1e-13
 
     @pytest.mark.parametrize("kind", ["dd", "cdt"])
-    def test_magnus_error_is_fourth_order(self, kind):
-        # the one-period error goes as N^-4, so each doubling cuts it ~16x
+    def test_magnus_error_is_sixth_order(self, kind):
+        # the one-period error goes as N^-6, so each doubling cuts it ~64x;
+        # from 128 steps on, CDT reaches the floor of the DOP853 reference
         bath = make_bath()
         d = Drive(kind, 2.4, 100.0)
         _, a0, a1 = dynamics._generator(bath, d)
         want = _reference(bath, d, self.S0, [0.0, d.period], 1e-12)[-1]
         v0 = np.append(self.S0, 1.0)
+        basis = dynamics._commutators(a0, a1)
         errors = []
-        for n in (32, 64, 128, 256):
-            phi = dynamics._step_tree(a0, a1, d.omega, d.period, n)[-1][0]
+        for n in (16, 32, 64):
+            phi = dynamics._step_tree(basis, d.omega, d.period, n)[-1][0]
             errors.append(np.max(np.abs((phi @ v0)[:3] - want)))
-        assert all(coarse >= 12 * fine
+        assert all(coarse >= 48 * fine
                    for coarse, fine in zip(errors, errors[1:]))
+
+    @pytest.mark.parametrize("kind", ["dd", "cdt"])
+    def test_exponent_is_the_three_point_formula(self, kind):
+        # the weighted basis against the formula of Blanes et al. (2009)
+        # with the commutators of A at the three Gauss points, per step
+        _, a0, a1 = dynamics._generator(make_bath(), Drive(kind, 20.0, 7.0))
+        start = np.array([0.0, 0.013, 0.4, 0.71])
+        width = np.array([0.002, 0.011, 0.03, 0.0])
+        got = dynamics._magnus_exponents(dynamics._commutators(a0, a1), 7.0,
+                                         start, width)
+
+        def comm(x, y):
+            return x @ y - y @ x
+
+        for t, h, omega_h in zip(start, width, got):
+            at = [a0 + math.cos(7.0 * (t + h / 2 + k * math.sqrt(15) / 10 * h))
+                  * a1 for k in (-1, 0, 1)]
+            al1 = h * at[1]
+            al2 = math.sqrt(15) / 3 * h * (at[2] - at[0])
+            al3 = 10 / 3 * h * (at[2] - 2 * at[1] + at[0])
+            c1 = comm(al1, al2)
+            c2 = -comm(al1, 2 * al3 + c1) / 60
+            want = al1 + al3 / 12 + comm(-20 * al1 - al3 + c1, al2 + c2) / 240
+            assert np.max(np.abs(omega_h - want)) <= 1e-14 * max(
+                1.0, np.max(np.abs(want)))
 
     def test_prefix_products_match_running_product(self):
         _, a0, a1 = dynamics._generator(make_bath(),
                                         Drive("cdt", 2.4, 100.0))
-        levels = dynamics._step_tree(a0, a1, 100.0, 0.05, 16)
+        levels = dynamics._step_tree(dynamics._commutators(a0, a1), 100.0,
+                                     0.05, 16)
         running = [np.eye(4)]
         for step in levels[0]:
             running.append(step @ running[-1])
@@ -266,13 +294,25 @@ class TestFloquetPropagator:
         assert np.max(np.abs(traj.s - want)) <= 10 * tol
         assert math.ceil(200.0 / d.period) * traj.period_error <= tol
 
+    def test_step_count_at_sixth_order(self, long_run):
+        # 955 periods at tol = 1e-9; fourth-order steps needed 2048 (DD)
+        # and 1024 (CDT) per period here
+        bath, d, s0, want = long_run
+        tol = 1e-9
+        traj = evolve(bath, d, s0, 60.0, 1.0, tol=tol)
+        assert traj.substeps <= {"dd": 256, "cdt": 128}[d.kind]
+        assert np.max(np.abs(traj.s - want[:61])) <= 10 * tol
+
     @pytest.mark.parametrize("kind", ["dd", "cdt"])
-    @pytest.mark.parametrize("x", [20.0, 50.0])
-    def test_large_drive_amplitude(self, kind, x):
+    # at x = 200 the first step count is half of the 8192-step ceiling
+    @pytest.mark.parametrize("x, periods", [(20.0, 5), (50.0, 5), (200.0, 2)],
+                             ids=["20.0", "50.0", "200.0"])
+    def test_large_drive_amplitude(self, kind, x, periods):
         bath = make_bath()
         d = Drive(kind, x, 100.0)
         tol = 1e-10
-        traj = evolve(bath, d, self.S0, 5 * d.period, d.period / 7, tol=tol)
+        traj = evolve(bath, d, self.S0, periods * d.period, d.period / 7,
+                      tol=tol)
         want = _reference(bath, d, self.S0, traj.t, 1e-12)
         assert np.max(np.abs(traj.s - want)) <= 10 * tol
 
@@ -293,7 +333,10 @@ class TestFloquetPropagator:
         with pytest.warns(RegimeWarning) as record:
             traj = evolve(make_bath(), d, self.S0, 200.0, 1.0, tol=1e-12)
         assert len(record) == 1
-        assert traj.substeps == dynamics._MAX_SUBSTEPS
+        # the count stops at the first N (here 512) with e(N) < N*eps:
+        # e(N/2) = 2^6 e(N) was still >= N/2 * eps
+        n, eps = traj.substeps, np.finfo(float).eps
+        assert traj.period_error < n * eps <= 2 ** 7 * traj.period_error
         assert f"error estimate of {traj.period_error:.3e} per period" \
             in str(record[0].message)
 
