@@ -19,14 +19,15 @@ AMP_RATIO = 2.4
 TEMPERATURES = (0.1, 1.0, 10.0)
 
 omegas = np.geomspace(10.0, 1.0e4, 16)
-baths = [BathSpec(ALPHA, OMEGA_C, t) for t in TEMPERATURES]
+# the whole (Omega, T) grid in one call: frequencies down, temperatures
+# across
+bath = BathSpec(ALPHA, OMEGA_C, np.array(TEMPERATURES))
+table = stabilization_eta(bath, Drive("dd", AMP_RATIO, omegas[:, None]))
 
 header = "Omega/Delta".rjust(12) + "".join(
     f"   eta(T={t:g})".rjust(14) for t in TEMPERATURES)
 print(header)
-for omega in omegas:
-    drive = Drive("dd", AMP_RATIO, omega)
-    etas = [stabilization_eta(bath, drive) for bath in baths]
+for omega, etas in zip(omegas, table):
     marks = "".join(f"{eta:14.4g}" for eta in etas)
     note = ""
     if all(eta > 1.0 for eta in etas):

@@ -21,7 +21,7 @@ for temperature in (0.2, 1.0, 5.0):
     gamma = rate_static(bath)
     traj = evolve(bath, Drive(), (0.0, 0.0, 1.0),
                   t_max=10.0 / gamma, dt_out=0.5 / gamma, tol=1e-10)
-    target = steady_state(bath).vec
+    target = steady_state(bath)
 
     print(f"T = {temperature:4.1f}   Gamma = {gamma:.4e}   "
           f"s_z(final) = {traj.s[-1][2]:+.6f}   "
@@ -40,4 +40,4 @@ for t, entropy in zip(traj.t, traj.entropy):
 
 print()
 print(f"steady state check: -tanh(1/2T) = {-math.tanh(0.5):+.6f}, "
-      f"reached to {abs(traj.s[-1][2] - steady_state(bath).vec[2]):.1e}")
+      f"reached to {abs(traj.s[-1][2] - steady_state(bath)[2]):.1e}")

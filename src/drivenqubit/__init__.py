@@ -18,9 +18,9 @@ from .dynamics import (DecaySpectrum, IntegrationDivergedError,
                        NoSteadyStateError, Trajectory,
                        average_entropy_production, decay_eigenvalues, evolve,
                        steady_state)
-from .operators import (BlochState, InvalidStateError, QubitOperator,
-                        SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY,
-                        bloch_from_density, conjugate, pauli_rotation)
+from .operators import (InvalidStateError, QubitOperator, SIGMA_X, SIGMA_Y,
+                        SIGMA_Z, IDENTITY, bloch_from_density, conjugate,
+                        pauli_rotation)
 from .rates import (RateReport, build_report, effective_coupling,
                     effective_rate, rate_cdt, rate_dd, rate_static,
                     stabilization_eta, trace_bound)
@@ -32,9 +32,8 @@ __all__ = [
     "DecaySpectrum", "IntegrationDivergedError", "NoSteadyStateError",
     "Trajectory", "average_entropy_production", "decay_eigenvalues",
     "evolve", "steady_state",
-    "BlochState", "InvalidStateError", "QubitOperator", "SIGMA_X",
-    "SIGMA_Y", "SIGMA_Z", "IDENTITY", "bloch_from_density", "conjugate",
-    "pauli_rotation",
+    "InvalidStateError", "QubitOperator", "SIGMA_X", "SIGMA_Y", "SIGMA_Z",
+    "IDENTITY", "bloch_from_density", "conjugate", "pauli_rotation",
     "RateReport", "build_report", "effective_coupling", "effective_rate",
     "rate_cdt", "rate_dd", "rate_static", "stabilization_eta", "trace_bound",
 ]

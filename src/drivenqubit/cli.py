@@ -118,12 +118,6 @@ def _one_temperature(cfg: dict, command: str) -> float:
     return temperatures[0]
 
 
-def _drive_from(cfg: dict) -> Drive:
-    if cfg["drive"] == NONE:
-        return Drive()
-    return Drive(cfg["drive"], cfg["amp_ratio"], cfg["omega"])
-
-
 def _text(value) -> str:
     """A value as the header and the help write it: a list comma-separated."""
     if isinstance(value, list):
@@ -283,7 +277,7 @@ def _harmonics_comment(drive: Drive, bath: BathSpec) -> str:
 def cmd_rates(cfg: dict) -> int:
     temperature = _one_temperature(cfg, "rates")
     bath = BathSpec(cfg["alpha"], cfg["omega_c"], temperature)
-    drive = _drive_from(cfg)
+    drive = Drive(cfg["drive"], cfg["amp_ratio"], cfg["omega"])
     report = build_report(bath, drive)
 
     print(f"drive        : {report.drive_kind}")
@@ -334,7 +328,7 @@ def cmd_scan(cfg: dict) -> int:
         grid = dict(cfg, temperature=temperature)
         grid[param] = values
         bath = BathSpec(grid["alpha"], grid["omega_c"], grid["temperature"])
-        drive = _drive_from(grid)
+        drive = Drive(grid["drive"], grid["amp_ratio"], grid["omega"])
         report = build_report(bath, drive)
         columns = [values, report.delta_eff, report.gamma_relax,
                    report.gamma_trace]
@@ -361,12 +355,10 @@ def cmd_scan(cfg: dict) -> int:
 
 
 def cmd_evolve(cfg: dict) -> int:
-    s0 = np.array([float(v) for v in cfg["s0"].split(",")])
-    if s0.shape != (3,):
-        raise ValueError("--s0 expects three comma-separated components")
+    s0 = [float(v) for v in cfg["s0"].split(",")]
     bath = BathSpec(cfg["alpha"], cfg["omega_c"],
                     _one_temperature(cfg, "evolve"))
-    drive = _drive_from(cfg)
+    drive = Drive(cfg["drive"], cfg["amp_ratio"], cfg["omega"])
     header = ["t", "s_x", "s_y", "s_z", "S", "Sdot"]
     try:
         traj = evolve(bath, drive, s0, cfg["t_max"], cfg["dt_out"],

@@ -38,7 +38,8 @@ class Drive:
     kind       one of "none", "cdt" (sigma_x drive) or "dd" (sigma_z drive)
     amp_ratio  x = 2A/Omega, the argument of all Bessel factors (finite,
                >= 0)
-    omega      Omega, frequency in units of Delta (finite, > 0 when driven)
+    omega      Omega, frequency in units of Delta (finite; > 0 when driven,
+               >= 0 undriven)
 
     Drive() is the undriven drive.
     """
@@ -52,7 +53,9 @@ class Drive:
             raise ValueError(f"unknown drive kind {self.kind!r}")
         _check_range(self.amp_ratio, "amp_ratio must be finite and "
                      "non-negative")
-        if self.kind != NONE:
+        if self.kind == NONE:
+            _check_range(self.omega, "omega must be finite and non-negative")
+        else:
             _check_range(self.omega, "driven kinds require finite omega > 0",
                          positive=True)
             _warn_points(np.less(self.omega, 10.0),

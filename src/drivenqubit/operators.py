@@ -97,39 +97,9 @@ SIGMA_Y = QubitOperator(0.0, 0.0, 1.0, 0.0)
 SIGMA_Z = QubitOperator(0.0, 0.0, 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class BlochState:
-    """Bloch vector s = tr(sigma rho) with a time stamp (units of 1/Delta)."""
-
-    s: tuple
-    t: float = 0.0
-
-    def __post_init__(self):
-        vec = np.asarray(self.s, dtype=float)
-        if vec.shape != (3,):
-            raise ValueError("Bloch vector must have three real components")
-        object.__setattr__(self, "s", tuple(vec))
-
-    @property
-    def vec(self) -> np.ndarray:
-        return np.array(self.s, dtype=float)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.vec))
-
-    @property
-    def linear_entropy(self) -> float:
-        """S = 1 - tr(rho^2) = (1 - s.s)/2; zero iff pure."""
-        return 0.5 * (1.0 - self.vec @ self.vec)
-
-    def density(self) -> QubitOperator:
-        sx, sy, sz = self.vec
-        return QubitOperator(0.5, 0.5 * sx, 0.5 * sy, 0.5 * sz)
-
-
-def bloch_from_density(rho: QubitOperator) -> BlochState:
-    """Map a density operator to its Bloch vector s_k = tr(sigma_k rho)."""
+def bloch_from_density(rho: QubitOperator) -> np.ndarray:
+    """Bloch vector s_k = tr(sigma_k rho) of a density operator, a float
+    array of shape (3,)."""
     if not rho.is_hermitian(tol=1e-12):
         raise InvalidStateError("density operator must be Hermitian")
     if abs(rho.trace() - 1.0) > 1e-12:
@@ -139,7 +109,7 @@ def bloch_from_density(rho: QubitOperator) -> BlochState:
     if np.linalg.norm(s) > 1.0 + 1e-9:
         raise InvalidStateError("density operator is not positive "
                                 "semidefinite (|s| > 1)")
-    return BlochState(tuple(s))
+    return s
 
 
 def pauli_rotation(axis, angle: float) -> QubitOperator:

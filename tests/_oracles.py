@@ -97,3 +97,32 @@ def bloch_reference(kind, amp_ratio, omega, gamma, alpha, s0, times, tol,
     if not sol.success:
         raise RuntimeError(sol.message)
     return sol.y.T
+
+
+def floquet_reference(kind, amp_ratio, omega, gamma, alpha, s0, times, tol):
+    """Bloch states at the sample times through the one-period map.
+
+    bloch_reference over one drive period T = 2*pi/Omega, from s = 0 and
+    from the three unit vectors, gives the affine propagator Phi(tau) at
+    every sample phase tau and Phi(T).  A sample at t = n*T + tau is then
+    Phi(tau) Phi(T)^n (s0, 1), the power taken as a running product, one
+    matvec per period.  Arguments as for bloch_reference; returns shape
+    (len(times), 3).
+    """
+    period = 2.0 * math.pi / omega
+    times = np.asarray(times, dtype=float)
+    n = np.floor(times / period).astype(np.int64)
+    tau = np.clip(times - n * period, 0.0, period)
+    phases = np.unique(np.append(tau, period))
+    starts = [bloch_reference(kind, amp_ratio, omega, gamma, alpha, s,
+                              phases, tol)
+              for s in np.vstack([np.zeros(3), np.eye(3)])]
+    phi = np.zeros((len(phases), 4, 4))
+    phi[:, :3, :3] = np.stack(starts[1:], axis=2) - starts[0][:, :, None]
+    phi[:, :3, 3] = starts[0]
+    phi[:, 3, 3] = 1.0
+    powers = [np.append(np.asarray(s0, dtype=float), 1.0)]
+    for _ in range(n.max()):
+        powers.append(phi[-1] @ powers[-1])
+    return np.einsum("kij,kj->ki", phi[np.searchsorted(phases, tau), :3],
+                     np.array(powers)[n])

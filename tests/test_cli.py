@@ -107,6 +107,22 @@ def test_several_temperatures_are_usage_error(tmp_path, capsys, command):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["rates", "--drive", "none", "--amp-ratio", "-1"], "amp_ratio"),
+    (["scan", "--sweep", "amp_ratio", "--min", "-5", "--max", "5",
+      "--points", "3"], "amp_ratio"),
+    (["evolve", "--drive", "none", "--omega", "-5", "--t-max", "1"],
+     "omega"),
+], ids=["rates", "scan", "evolve"])
+def test_undriven_drive_parameters_are_checked(tmp_path, capsys, argv, name):
+    # an undriven run checks x and Omega as a driven one does: no file
+    # records a negative value
+    assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {name} must be finite and non-negative\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
 class TestScan:
 
     def test_two_points(self, tmp_path):
@@ -348,8 +364,9 @@ class TestEvolve:
         assert not [c for c in comments
                     if c.startswith(("# substeps", "# period_error"))]
 
-    def test_bad_s0_is_usage_error(self):
+    def test_bad_s0_is_usage_error(self, capsys):
         assert main(["evolve", "--s0", "1,0"]) == 2
+        assert "s0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [["--dt-out", "0"], ["--dt-out", "-1"],
                                        ["--s0=nan,0,0"]])

@@ -30,15 +30,22 @@ class TestDrive:
     def test_kind_validation(self):
         with pytest.raises(ValueError):
             Drive("pulsed", 1.0, 100.0)
-        for x, omega, name in ((1.0, 0.0, "omega"),
-                               (math.nan, 100.0, "amp_ratio"),
-                               (math.inf, 100.0, "amp_ratio"),
-                               (np.array([2.4, math.inf]), 100.0, "amp_ratio"),
-                               (1.0, math.nan, "omega"),
-                               (1.0, math.inf, "omega"),
-                               (1.0, -math.inf, "omega")):
+        # undriven, Omega = 0 is allowed (Drive()), a negative one is not
+        for kind, x, omega, name in (
+                ("cdt", 1.0, 0.0, "omega"),
+                ("cdt", math.nan, 100.0, "amp_ratio"),
+                ("cdt", math.inf, 100.0, "amp_ratio"),
+                ("cdt", np.array([2.4, math.inf]), 100.0, "amp_ratio"),
+                ("cdt", 1.0, math.nan, "omega"),
+                ("cdt", 1.0, math.inf, "omega"),
+                ("cdt", 1.0, -math.inf, "omega"),
+                ("none", -1.0, 100.0, "amp_ratio"),
+                ("none", math.nan, 100.0, "amp_ratio"),
+                ("none", 0.0, -5.0, "omega"),
+                ("none", 0.0, math.nan, "omega"),
+                ("none", 0.0, np.array([1.0, math.inf]), "omega")):
             with pytest.raises(ValueError, match=name):
-                Drive("cdt", x, omega)
+                Drive(kind, x, omega)
 
     def test_low_frequency_warning(self):
         with pytest.warns(RegimeWarning):

@@ -4,7 +4,7 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
-from _oracles import bloch_reference, expm_series
+from _oracles import bloch_reference, expm_series, floquet_reference
 from scipy import linalg
 
 from drivenqubit import dynamics
@@ -130,7 +130,7 @@ class TestEvolve:
         gamma = rate_static(bath)
         traj = evolve(bath, Drive(), (0, 0, 1), 20 / gamma, 1 / gamma,
                       tol=1e-10)
-        target = steady_state(bath).vec
+        target = steady_state(bath)
         assert np.max(np.abs(traj.s[-1] - target)) < 1e-6
 
     def test_entropy_fields_consistent(self):
@@ -167,6 +167,10 @@ class TestEvolve:
                 evolve(bath, Drive(), (1, 0, 0), t_max, dt_out)
         with pytest.raises(ValueError):
             evolve(bath, Drive(), (math.nan, 0, 0), 1.0, 0.1)
+        # s0 is one Bloch vector: no other shape is read as one
+        for s0 in ((1, 0), (1, 0, 0, 0), [[0.1, 0.2, 0.3]]):
+            with pytest.raises(ValueError, match="s0"):
+                evolve(bath, Drive(), s0, 1.0, 0.1)
 
 
 def _reference(bath, drive, s0, times, tol):
@@ -176,15 +180,23 @@ def _reference(bath, drive, s0, times, tol):
                            times, tol)
 
 
+def _map_reference(bath, drive, s0, times, tol):
+    """floquet_reference for drive at its closed-form Gamma_eff."""
+    return floquet_reference(drive.kind, drive.amp_ratio, drive.omega,
+                             effective_rate(bath, drive), bath.alpha, s0,
+                             times, tol)
+
+
 @pytest.fixture(scope="module", params=["dd", "cdt"])
 def long_run(request):
-    """bath, drive, s0 and bloch_reference states at t = 0, 1, ..., 200
-    for Omega = 100, x = 2.4 (3183 drive periods); once per drive, as the
-    CDT reference takes ~25 s."""
+    """bath, drive, s0 and floquet_reference states at t = 0, 1, ..., 200
+    for Omega = 100, x = 2.4 (3183 drive periods).  The one-period map
+    takes ~0.1 s; one DOP853 run over all 3183 periods takes ~25 s for
+    CDT and agrees with it to 2.0e-12 (DD) and 2.1e-11 (CDT)."""
     bath = make_bath()
     d = Drive(request.param, 2.4, 100.0)
     s0 = (0.0, 0.6, 0.6)
-    return bath, d, s0, _reference(bath, d, s0, np.arange(201.0), 1e-12)
+    return bath, d, s0, _map_reference(bath, d, s0, np.arange(201.0), 3e-13)
 
 
 class TestFloquetPropagator:
@@ -400,30 +412,15 @@ class TestPowers:
             <= 1e-12
 
     def test_sparse_driven_run_matches_reference(self):
-        # 1401 samples 11.4 periods apart, n up to 16,000.  Reference:
-        # bloch_reference over one period, from s = 0 and the three unit
-        # vectors, gives the affine propagators Phi(tau) at every sample
-        # phase and Phi(T); Phi(T)^n (s0, 1) is a running product.
+        # 1401 samples 11.4 periods apart, n up to 16,000, against the
+        # one-period map of floquet_reference
         bath = BathSpec(1e-4, 500.0, 1.0)
         d = Drive("cdt", 2.4, 100.0)
         t_max = 16_000 * d.period
         tol = 1e-10
         traj = evolve(bath, d, self.V0[:3], t_max, t_max / 1400, tol=tol)
-        n = np.floor(traj.t / d.period).astype(np.int64)
-        tau = traj.t - n * d.period
-        phases = np.unique(np.append(tau, d.period))
-        starts = [bloch_reference("cdt", d.amp_ratio, d.omega,
-                                  effective_rate(bath, d), bath.alpha, s0,
-                                  phases, 3e-13)
-                  for s0 in np.vstack([np.zeros(3), np.eye(3)])]
-        phi = np.zeros((len(phases), 4, 4))
-        phi[:, :3, :3] = np.stack(starts[1:], axis=2) - starts[0][:, :, None]
-        phi[:, :3, 3] = starts[0]
-        phi[:, 3, 3] = 1.0
-        powers = _running_product(phi[-1], self.V0, n[-1] + 1)[:, n]
-        want = np.einsum("kij,jk->ki",
-                         phi[np.searchsorted(phases, tau), :3], powers)
-        assert n[-1] == 16_000
+        want = _map_reference(bath, d, self.V0[:3], traj.t, 3e-13)
+        assert np.floor(traj.t[-1] / d.period) == 16_000
         assert np.max(np.abs(traj.s - want)) <= 10 * tol
         # the run is still far from its fixed point at the last sample
         assert np.linalg.norm(traj.s[-1]) > 0.3
@@ -477,16 +474,24 @@ class TestSteadyState:
         bath = make_bath()
         m, b = generator_at(bath, Drive(), t=0.0)
         expected = np.linalg.solve(m, b)
-        assert np.allclose(steady_state(bath).vec, expected, atol=1e-14)
+        assert np.allclose(steady_state(bath), expected, atol=1e-14)
+
+    def test_returns_float_array(self):
+        bath = make_bath()
+        s = steady_state(bath)
+        assert isinstance(s, np.ndarray)
+        assert s.dtype == np.float64 and s.shape == (3,)
+        assert np.array_equal(
+            s, [0.0, 0.0, -math.pi * bath.alpha / rate_static(bath)])
 
     def test_thermal_polarization(self):
-        assert steady_state(make_bath(temperature=1.0)).vec[2] == \
+        assert steady_state(make_bath(temperature=1.0))[2] == \
             pytest.approx(-math.tanh(0.5), rel=1e-14)
 
     def test_limits(self):
-        hot = steady_state(make_bath(temperature=1e6)).vec
+        hot = steady_state(make_bath(temperature=1e6))
         assert np.max(np.abs(hot)) < 1e-5
-        cold = steady_state(make_bath(temperature=0.0)).vec
+        cold = steady_state(make_bath(temperature=0.0))
         assert np.allclose(cold, [0, 0, -1.0])
 
     def test_requires_dissipation(self):

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from drivenqubit import (BlochState, InvalidStateError, QubitOperator,
-                         SIGMA_X, SIGMA_Y, SIGMA_Z, IDENTITY,
-                         bloch_from_density, conjugate, pauli_rotation)
+from drivenqubit import (InvalidStateError, QubitOperator, SIGMA_X, SIGMA_Y,
+                         SIGMA_Z, IDENTITY, bloch_from_density, conjugate,
+                         pauli_rotation)
 
 from _oracles import ID2, SX, SY, SZ, expm_series, pauli_coeffs
 
@@ -62,16 +62,16 @@ class TestBlochFromDensity:
 
     def test_sigma_z_eigenstate(self):
         rho = 0.5 * (IDENTITY + SIGMA_Z)
-        assert np.allclose(bloch_from_density(rho).vec, [0, 0, 1])
+        assert np.allclose(bloch_from_density(rho), [0, 0, 1])
 
     def test_maximally_mixed(self):
-        assert np.allclose(bloch_from_density(0.5 * IDENTITY).vec, [0, 0, 0])
+        assert np.allclose(bloch_from_density(0.5 * IDENTITY), [0, 0, 0])
 
     def test_tilted_pure_state_against_trace_oracle(self):
         # rho = (1 + (sx + sz)/sqrt2)/2; s_k = tr(sigma_k rho) by raw matrices
         rho_m = 0.5 * (ID2 + (SX + SZ) / math.sqrt(2.0))
         expected = [np.real(np.trace(p @ rho_m)) for p in (SX, SY, SZ)]
-        got = bloch_from_density(QubitOperator.from_matrix(rho_m)).vec
+        got = bloch_from_density(QubitOperator.from_matrix(rho_m))
         assert np.allclose(got, expected, atol=1e-15)
         assert np.allclose(got, [1 / math.sqrt(2), 0, 1 / math.sqrt(2)])
 
@@ -80,9 +80,23 @@ class TestBlochFromDensity:
             v = RNG.normal(size=2) + 1j * RNG.normal(size=2)
             v /= np.linalg.norm(v)
             rho = QubitOperator.from_matrix(np.outer(v, v.conj()))
-            state = bloch_from_density(rho)
-            assert state.norm == pytest.approx(1.0, abs=1e-12)
-            assert state.linear_entropy == pytest.approx(0.0, abs=1e-12)
+            s = bloch_from_density(rho)
+            assert np.linalg.norm(s) == pytest.approx(1.0, abs=1e-12)
+            # linear entropy (1 - s.s)/2 vanishes for a pure state
+            assert 0.5 * (1.0 - s @ s) == pytest.approx(0.0, abs=1e-12)
+
+    def test_returns_float_array(self):
+        # the vector is 2*Re(cx, cy, cz), bit for bit
+        rho = QubitOperator(0.5, 0.1, -0.2 + 1e-14j, 0.3)
+        s = bloch_from_density(rho)
+        assert isinstance(s, np.ndarray)
+        assert s.dtype == np.float64 and s.shape == (3,)
+        assert np.array_equal(s, [0.2, -0.4, 0.6])
+
+    def test_density_round_trip(self):
+        s = np.array([0.2, -0.4, 0.5])
+        rho = QubitOperator(0.5, *(0.5 * s))
+        assert np.allclose(bloch_from_density(rho), s)
 
     def test_rejects_nonunit_trace(self):
         with pytest.raises(InvalidStateError):
@@ -166,13 +180,3 @@ class TestConjugate:
     def test_rejects_nonunitary(self):
         with pytest.raises(ValueError):
             conjugate(SIGMA_X, 2.0 * IDENTITY)
-
-
-class TestBlochState:
-
-    def test_entropy_of_mixed_state(self):
-        assert BlochState((0, 0, 0)).linear_entropy == pytest.approx(0.5)
-
-    def test_density_round_trip(self):
-        s = BlochState((0.2, -0.4, 0.5), t=1.5)
-        assert np.allclose(bloch_from_density(s.density()).vec, s.vec)
