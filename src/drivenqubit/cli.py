@@ -119,8 +119,8 @@ def _one_temperature(cfg: dict, command: str) -> float:
 
 
 def _text(value) -> str:
-    """A value as the header and the help write it: a list comma-separated."""
-    if isinstance(value, list):
+    """A value as header and help write it: list or tuple comma-separated."""
+    if isinstance(value, (list, tuple)):
         return ",".join(str(v) for v in value)
     return str(value)
 
@@ -355,13 +355,12 @@ def cmd_scan(cfg: dict) -> int:
 
 
 def cmd_evolve(cfg: dict) -> int:
-    s0 = [float(v) for v in cfg["s0"].split(",")]
     bath = BathSpec(cfg["alpha"], cfg["omega_c"],
                     _one_temperature(cfg, "evolve"))
     drive = Drive(cfg["drive"], cfg["amp_ratio"], cfg["omega"])
     header = ["t", "s_x", "s_y", "s_z", "S", "Sdot"]
     try:
-        traj = evolve(bath, drive, s0, cfg["t_max"], cfg["dt_out"],
+        traj = evolve(bath, drive, cfg["s0"], cfg["t_max"], cfg["dt_out"],
                       tol=cfg["tol"])
     except IntegrationDivergedError as exc:
         comments = _config_comments(cfg) + [f"# DIVERGED: {exc}"]
@@ -415,6 +414,11 @@ class _Choice(tuple):
         return name
 
 
+def _floats(value: str) -> tuple:
+    """Comma-separated floats; evolve checks that s0 has three."""
+    return tuple(float(v) for v in value.split(","))
+
+
 class _Option(NamedTuple):
     """parse reads a flag's and a file's text alike.  A list default makes
     the flag repeatable and the file value a comma-separated list."""
@@ -442,7 +446,7 @@ _OPTIONS = {
     "spacing": _Option(_Choice(("linear", "log")), "linear",
                        "spacing of the sweep values"),
     "tol": _Option(float, 1e-9, "error bound of a trajectory"),
-    "s0": _Option(str, "1,0,0", "initial Bloch vector 'x,y,z'"),
+    "s0": _Option(_floats, (1.0, 0.0, 0.0), "initial Bloch vector 'x,y,z'"),
     "t_max": _Option(float, 100.0, "end time of a trajectory"),
     "dt_out": _Option(float, 0.1, "time between output samples"),
 }

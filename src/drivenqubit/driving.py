@@ -228,58 +228,53 @@ def _rotation_matrices(axis_mat: np.ndarray, half_angles: np.ndarray):
     return c * ID2 - 1.0j * s * axis_mat
 
 
-def numeric_q_oracle(drive: Drive, bath: BathSpec, grid_t: int = 64,
-                     n_harmonics: int = 32) -> QubitOperator:
+def numeric_q_oracle(drive: Drive, bath: BathSpec) -> QubitOperator:
     """Brute-force frequency-domain evaluation of the coupling operator Q.
 
     The conjugated operator U_F^dag U_P^dag sigma_x U_P U_F is built by raw
-    matrix arithmetic on a torus grid of the two independent phases
-    theta1 = Omega*tau (drive phase) and theta2 = omega2*tau (slow Floquet
-    phase, omega2 = Delta_eff for the sigma_x drive and Delta for the
-    sigma_z drive).  A 2D FFT yields the harmonic content exactly (the
+    matrix arithmetic, averaged over the drive phase psi = Omega*t, on a torus
+    grid of the two independent phases theta1 = Omega*tau (drive phase) and
+    theta2 = omega2*tau (slow Floquet phase, omega2 = Delta_eff, which is Delta
+    for the sigma_z drive).  A 2D FFT yields the harmonic content exactly (the
     coefficients are trigonometric polynomials, so there is no windowing
-    error); the half-line integral of S(tau)*exp(i*w*tau) is then replaced
-    by its absorptive part S(|w|)/2, dropping the principal-value
-    (Lamb-shift) piece.  Harmonic terms (drive index n != 0) carry the
-    bath cutoff exp(-|n|*Omega/omega_c) and are evaluated at |n|*Omega,
-    the leading order of the Delta << Omega expansion used by the
-    closed-form rates; slow terms (n = 0) are evaluated at |m|*omega2
-    without cutoff.
+    error); the half-line integral of S(tau)*exp(i*w*tau) is then replaced by
+    its absorptive part S(|w|)/2, dropping the principal-value (Lamb-shift)
+    piece.  Harmonic terms (drive index n != 0) carry the bath cutoff
+    exp(-|n|*Omega/omega_c) and are evaluated at |n|*Omega, the leading order
+    of the Delta << Omega expansion used by the closed-form rates; slow terms
+    (n = 0) are evaluated at |m|*omega2 without cutoff.
+
+    The grids follow x = 2A/Omega: psi and theta1 take the smallest power of
+    two >= z + 12*z^(1/3) + 20 for z = x and 2x (at least 64 and 128), past the
+    Airy transition of the Bessel weights J_n(x) of their harmonics.  Q is then
+    within 1e-13 of a 30-digit mpmath sum of the DD rate up to x = 169; a
+    larger x (over 256 x 512 samples) raises ValueError, allocating nothing.
     """
     if drive.kind not in (CDT, DD):
         raise ValueError("oracle requires a driven kind")
-    if grid_t < 64:
-        raise ValueError("grid_t must be at least 64")
-    if n_harmonics < 8:
-        raise ValueError("n_harmonics must be at least 8")
+    x = float(drive.amp_ratio)
+    n_psi, n1 = (max(least, 2 ** math.ceil(math.log2(
+        z + 12.0 * z ** (1.0 / 3.0) + 20.0)))
+        for z, least in ((x, 64), (2.0 * x, 128)))
+    if n_psi > 256 or n1 > 512:
+        raise ValueError(f"x = 2A/Omega = {x:g} needs {n_psi} x {n1} phase "
+                         "samples, above the oracle's limit of 256 x 512")
 
-    if drive.kind == CDT:
-        axis_mat = SX
-        omega2 = effective_splitting(drive)
-    else:
-        axis_mat = SZ
-        omega2 = 1.0
-
-    n1 = max(4 * n_harmonics, 128)
+    axis_mat = SX if drive.kind == CDT else SZ
+    omega2 = effective_splitting(drive)
     n2 = 8
-    psi = 2.0 * np.pi * np.arange(grid_t) / grid_t          # Omega*t
+    psi = 2.0 * np.pi * np.arange(n_psi) / n_psi            # Omega*t
     theta1 = 2.0 * np.pi * np.arange(n1) / n1               # Omega*tau
     theta2 = 2.0 * np.pi * np.arange(n2) / n2               # omega2*tau
 
     # U_P(t - tau, t) = exp(-i*(x/2)*[sin(psi - theta1) - sin(psi)]*axis)
-    phi = 0.5 * drive.amp_ratio * (
-        np.sin(psi[:, None] - theta1[None, :]) - np.sin(psi)[:, None])
+    phi = 0.5 * x * (np.sin(psi[:, None] - theta1) - np.sin(psi)[:, None])
     u_p = _rotation_matrices(axis_mat, phi)                 # (t, th1, 2, 2)
     u_f = _rotation_matrices(SZ, 0.5 * theta2)              # (th2, 2, 2)
 
-    w = np.einsum("abij,cjk->abcik", u_p, u_f)
-    v = np.einsum("abcji,jk,abckl->abcil", w.conj(), SX, w)
-
-    # Pauli coefficients of V (real since V is Hermitian), averaged over
-    # the driving period, then Fourier-analyzed on the phase torus.
-    coeffs = [0.5 * np.einsum("ij,abcji->abc", p, v).mean(axis=0)
-              for p in PAULIS]
-    harmonics = [np.fft.fft2(c) / (n1 * n2) for c in coeffs]
+    # U_F is independent of psi: average over the period before it acts
+    a = np.einsum("abji,jk,abkl->bil", u_p.conj(), SX, u_p) / n_psi
+    v = np.einsum("cji,bjk,ckl->bcil", u_f.conj(), a, u_f)
 
     n_abs = np.abs(np.rint(np.fft.fftfreq(n1) * n1))[:, None]
     m_abs = np.abs(np.rint(np.fft.fftfreq(n2) * n2))[None, :]
@@ -288,10 +283,10 @@ def numeric_q_oracle(drive: Drive, bath: BathSpec, grid_t: int = 64,
     kernel = (0.5 * power_spectrum(bath, w)
               * np.exp(np.where(harmonic, -w / bath.omega_c, 0.0)))
 
-    q = [float(np.real(np.sum(h * kernel))) for h in harmonics]
-    scale = max(abs(q[1]), 1.0)
-    if max(abs(q[0]), abs(q[2]), abs(q[3])) > 1e-8 * scale:
-        raise ArithmeticError(
-            "oracle produced non-sigma_x components above tolerance: "
-            f"{q}")
-    return QubitOperator(q[0], q[1], q[2], q[3])
+    # V's harmonics weighted by the kernel; V is Hermitian, so q is real
+    m = np.einsum("bcij,bc->ij", np.fft.fft2(v, axes=(0, 1)), kernel)
+    q = [float(np.trace(p @ m).real) / (2 * n1 * n2) for p in PAULIS]
+    if max(abs(q[0]), abs(q[2]), abs(q[3])) > 1e-8 * max(abs(q[1]), 1.0):
+        raise ArithmeticError("oracle produced non-sigma_x components "
+                              f"above tolerance: {q}")
+    return QubitOperator(*q)

@@ -115,7 +115,7 @@ def test_criterion_08_q_oracle_equivalence(x, temperature):
     for kind in ("cdt", "dd"):
         drive = Drive(kind, x, 1000.0)
         expected = effective_coupling(drive, bath)
-        got = numeric_q_oracle(drive, bath, grid_t=64, n_harmonics=40)
+        got = numeric_q_oracle(drive, bath)
         assert got.cx == pytest.approx(expected.cx, rel=1e-6)
         assert max(abs(got.c0), abs(got.cy), abs(got.cz)) < 1e-8
     ok(f"criterion 8: Q oracle equivalence at x={x}, T={temperature}")

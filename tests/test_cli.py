@@ -368,6 +368,16 @@ class TestEvolve:
         assert main(["evolve", "--s0", "1,0"]) == 2
         assert "s0" in capsys.readouterr().err
 
+    def test_non_numeric_s0_names_the_option(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["evolve", "--s0", "1,0,x"])
+        assert exc.value.code == 2
+        assert "argument --s0: invalid" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("s0 = 1,0,x\n")
+        assert main(["evolve", "--config", str(cfg)]) == 2
+        assert "config key 's0'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flags", [["--dt-out", "0"], ["--dt-out", "-1"],
                                        ["--s0=nan,0,0"]])
     def test_bad_sampling_is_usage_error(self, tmp_path, capsys, flags):

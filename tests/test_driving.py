@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -9,7 +10,7 @@ from drivenqubit import (BathSpec, Drive, RegimeWarning, bessel_j,
                          numeric_q_oracle, pauli_rotation, propagator,
                          rate_static)
 
-from _oracles import SX, SZ, bessel_series, expm_series
+from _oracles import SX, SZ, bessel_series, expm_series, rate_dd_series
 
 J0_FIRST_ZERO = 2.404825557695773
 J1_FIRST_ZERO = 3.831705970207512
@@ -269,9 +270,9 @@ class TestNumericQOracle:
     def test_cdt_agreement(self, x, temperature):
         bath = make_bath(temperature=temperature)
         d = Drive("cdt", x, 1000.0)
-        got = numeric_q_oracle(d, bath, grid_t=64, n_harmonics=40)
+        got = numeric_q_oracle(d, bath)
         expected = effective_coupling(d, bath)
-        assert got.cx == pytest.approx(expected.cx, rel=1e-6)
+        assert got.cx == pytest.approx(expected.cx, rel=1e-12)
         assert max(abs(got.c0), abs(got.cy), abs(got.cz)) < 1e-8
 
     @pytest.mark.parametrize("temperature", [0.0, 10.0])
@@ -279,9 +280,9 @@ class TestNumericQOracle:
     def test_dd_agreement(self, x, temperature):
         bath = make_bath(temperature=temperature)
         d = Drive("dd", x, 1000.0)
-        got = numeric_q_oracle(d, bath, grid_t=64, n_harmonics=40)
+        got = numeric_q_oracle(d, bath)
         expected = effective_coupling(d, bath)
-        assert got.cx == pytest.approx(expected.cx, rel=1e-6)
+        assert got.cx == pytest.approx(expected.cx, rel=1e-12)
         assert max(abs(got.c0), abs(got.cy), abs(got.cz)) < 1e-8
 
     def test_undriven_equivalent_reduces_to_static_rate(self):
@@ -289,11 +290,27 @@ class TestNumericQOracle:
         got = numeric_q_oracle(Drive("cdt", 0.0, 1000.0), bath)
         assert got.cx == pytest.approx(rate_static(bath), abs=1e-8)
 
+    @pytest.mark.parametrize("x", [40.0, 50.0, 80.0])
+    def test_dd_agreement_at_large_x(self, x):
+        # psi x theta1 grids of 128 x 256 (x = 40, 50) and 256 x 256 (x = 80),
+        # past the 64 x 128 that serve x up to about 14
+        got = numeric_q_oracle(Drive("dd", x, 1000.0), make_bath())
+        assert got.cx == pytest.approx(
+            rate_dd_series(x, 1000.0, 0.01, 500.0, 1.0), rel=1e-12)
+
+    def test_refuses_x_beyond_its_grids_before_building_them(self):
+        # x = 200 would need 512 x 1024 phase grids: the u_p stack alone
+        # would take 512 * 1024 * 4 * 16 bytes = 32 MiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"x = 2A/Omega = 200 .*"
+                               r"limit of 256 x 512"):
+                numeric_q_oracle(Drive("dd", 200.0, 1000.0), make_bath())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_parameter_validation(self):
-        bath = make_bath()
         with pytest.raises(ValueError):
-            numeric_q_oracle(Drive(), bath)
-        with pytest.raises(ValueError):
-            numeric_q_oracle(Drive("cdt", 0.02, 100.0), bath, grid_t=32)
-        with pytest.raises(ValueError):
-            numeric_q_oracle(Drive("cdt", 0.02, 100.0), bath, n_harmonics=4)
+            numeric_q_oracle(Drive(), make_bath())
