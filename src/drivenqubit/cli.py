@@ -56,42 +56,41 @@ from .dynamics import IntegrationDivergedError, evolve
 from .rates import build_report, stabilization_eta
 
 FLOAT_FMT = "%.8e"  # 9 significant digits
-# rows _write_csv formats at a time: the (fields, 17) byte buffer and the
-# float and int64 temporaries of 1024 rows of 6 columns take about 1 MB;
-# 4096-row blocks raised the peak RSS of a 70,001-row evolve by 2 MB
+# rows _write_csv formats at a time: the (fields, 4 or 5) word buffer and
+# the float and int64 temporaries of 1024 rows of 6 columns take under
+# 1 MB; 4096-row blocks raised the peak RSS of a 70,001-row evolve by 2 MB
 _CHUNK_ROWS = 1024
 
 # Tables of _format_fields.  _POW10[k + _POW10_BIAS] is 10**k correctly
-# rounded: float() of the decimal literal, where a libm pow need not be.
-# _scaled splits 10**(8 - e) into two such factors, whose exponents stay
-# within +-170 for every e = -325 .. 309 that log10 can give.
-_POW10_BIAS = 170
-_POW10 = np.array([float(f"1e{k}") for k in range(-_POW10_BIAS,
-                                                   _POW10_BIAS + 1)])
+# rounded, k = -300 .. 308: float() of the decimal literal, where a libm
+# pow need not be.
+_POW10_BIAS = 300
+_POW10 = np.array([float(f"1e{k}") for k in range(-_POW10_BIAS, 309)])
 _EXP_BIAS = 324  # 5e-324 is 4.94065646e-324
 # 10**k is exact in a double up to k = 22 (5**22 < 2**53)
 _EXACT_POW10 = 22
 
 
-def _ascii_words():
-    """4-byte words, each read and written as one uint32: the ASCII digits
-    of 0000 .. 9999, and the exponent field of e = -_EXP_BIAS .. 308 (sign,
-    two digits and a zero pad byte for |e| < 100, sign and three digits
-    from 100 on)."""
-    digits = (np.arange(10_000)[:, None] // [1000, 100, 10, 1] % 10
-              + ord("0")).astype(np.uint8)
-    exp = np.arange(-_EXP_BIAS, 309)
-    mag = np.abs(exp)
-    words = np.zeros((exp.size, 4), np.uint8)
-    words[:, 0] = np.where(exp < 0, ord("-"), ord("+"))
-    words[:, 1:] = digits[mag, 1:]
-    short = mag < 100
-    words[short, 1:3] = words[short, 2:]
-    words[short, 3] = 0
-    return digits.view(np.uint32).ravel(), words.view(np.uint32).ravel()
+def _words(texts) -> np.ndarray:
+    """Texts of 4 ASCII characters as uint32 words, each written into a
+    record of _format_fields as one; '\\0' pads and is dropped there."""
+    return np.frombuffer("".join(texts).encode(), np.uint32)
 
 
-_DIGITS4, _EXP4 = _ascii_words()
+# The words of a field with sign s, digits d0 .. d8 of r and exponent e:
+# [s or 0, d0, '.', d1] at 100 * s + r // 10**7, [d2 .. d5] at
+# r // 1000 % 10**4, [d6, d7, d8, 'e'] at r % 1000, and [exponent sign,
+# 2 digits, ','] at e + 99 or [exponent sign, 2 or 3 digits, 0 for 2] at
+# e + _EXP_BIAS
+_LEAD4 = _words(f"{s}{n // 10}.{n % 10}" for s in "\0-" for n in range(100))
+# from int64 arrays: joined from 10,000 strings, this table left the peak
+# RSS of a 70,001-row evolve 0.7 MB higher
+_DIGITS4 = (np.arange(10_000)[:, None] // [1000, 100, 10, 1] % 10
+            + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+_TAIL4 = _words(f"{n:03}e" for n in range(1000))
+_EXP2 = _words(f"{e:+03}," for e in range(-99, 100))
+_EXP3 = _words(f"{e:+03}".ljust(4, "\0") for e in range(-_EXP_BIAS, 309))
+_COMMA4 = _words(",\0\0\0")
 
 
 # the name of the eta column in a CSV, and of its line in the rates report
@@ -179,19 +178,35 @@ def _format_fields(rows: np.ndarray) -> str:
 
     A finite nonzero v is written from e = floor(log10 |v|) and the digits
     of r = rint(q), q = |v| * 10**(8 - e) in [1e8, 1e9).  Why r is the
-    digits '%' prints: both table powers are correctly rounded and both
-    products round once, so the computed q is the exact one times
-    (1 + d1)(1 + d2)(1 + d3)(1 + d4), |di| <= 2**-53, a relative error
-    below 4.5e-16 and an absolute one below 4.5e-7 for q < 1e9.  Where
-    |frac(q) - 1/2| >= 1e-6 no half-integer lies between the computed
-    and the exact q, so rint gives the correctly rounded r.  Inside that
-    band (exact decimal ties such as the sample times k/256: 5-7% of the
-    fields of an evolve table at dt = 1/256 or 1/128) the exact q is
-    within 1.5e-6 of a half-integer, so no integer lies near it and e is
-    right; where 10**(8 - e) is exact, 0 <= 8 - e <= 22, _round_exact
-    rounds the exact product, and the remaining band fields (|v| >= 1e9
-    or |v| < 1e-14) and the non-finite ones are formatted by one batched
-    '%'.
+    digits '%' prints: for e >= -300, q is |v| times one table power,
+    correctly rounded, and the product rounds once, so the computed q is
+    the exact one times (1 + d1)(1 + d2), |di| <= 2**-53: a relative
+    error below 2.3e-16 and an absolute one below 2.3e-7 for q < 1e9.
+    Below 1e-300, where 10**(8 - e) is past the largest double, and where
+    log10 put e one off (q outside [1e8, 1e9), e moved by one), _scaled
+    takes two table factors: four roundings, below 4.5e-7.  rint(q) comes
+    first; where |q - rint(q)| <= 1/2 - 1e-6, q is at least 1e-6 from a
+    half-integer, no half-integer lies between the computed and the exact
+    q, and rint gives the correctly rounded r.  Inside that band (exact
+    decimal ties such as the sample times k/256: 5-7% of the fields of an
+    evolve table at dt = 1/256 or 1/128) the exact q is within 1.5e-6 of
+    a half-integer, so no integer lies near it and e is right; where
+    10**(8 - e) is exact, 0 <= 8 - e <= 22, _round_exact rounds the exact
+    product, and the remaining band fields (|v| >= 1e9 or |v| < 1e-14)
+    and the non-finite ones are formatted by '%'.  A block with no band
+    field, no e to correct and no r = 1e9 to carry skips those steps.
+
+    Each field becomes a record of uint32 words, each one gather from a
+    table: _LEAD4, _DIGITS4, _TAIL4 and _EXP2, 16 bytes whose one zero
+    byte is the sign of a positive field, dropped by bytes.replace; in a
+    block with a 3-digit exponent, _LEAD4, _DIGITS4, _TAIL4, _EXP3 and
+    _COMMA4, 20 bytes, whose zero bytes bytes.translate drops.  The last
+    field of a row gets '\\n' for its ','.  A '%' field's text, zero-padded,
+    overwrites its record up to the separator; it is 16 characters only
+    with a 3-digit exponent, and '%' writes one only where e has one, or
+    for a tie at e = 99 that rounds up to -1.00000000e+100: the band
+    doubles next to -9.999999995e99, and each of those that '%' rounds up
+    has rint(q) = 1e9, so its e carries to 100 too.
     """
     values = rows.ravel()
     finite = np.isfinite(values)
@@ -200,48 +215,62 @@ def _format_fields(rows: np.ndarray) -> str:
     # the placeholder 1.0 keeps log10 off 0 and inf
     mag = np.where(regular, mag, 1.0)
     exp = np.floor(np.log10(mag)).astype(np.int64)
-    q = _scaled(mag, exp)
+    q = mag * _POW10.take(8 - exp + _POW10_BIAS, mode="clip")
+    tiny = exp < -_POW10_BIAS
+    if tiny.any():
+        q[tiny] = _scaled(mag[tiny], exp[tiny])
     # log10 rounds: near a power of ten e can be one off
     under, over = q < 1e8, q >= 1e9
     fix = under | over
-    exp += over
-    exp -= under
-    q[fix] = _scaled(mag[fix], exp[fix])
-    tie = np.abs(q - np.floor(q) - 0.5) < 1e-6
-    exact = tie & (exp >= 8 - _EXACT_POW10) & (exp <= 8)
-    fallback = ~finite | (tie & ~exact)
-
-    r = np.rint(q).astype(np.int64)
-    if exact.any():
-        r[exact] = _round_exact(mag[exact], 8 - exp[exact])
+    if fix.any():
+        exp += over
+        exp -= under
+        q[fix] = _scaled(mag[fix], exp[fix])
+    r = np.rint(q)
+    (index,) = np.nonzero(~finite)
+    (at,) = np.nonzero(np.abs(q - r) > 0.5 - 1e-6)
+    if at.size:
+        k = 8 - exp[at]
+        exact = (k >= 0) & (k <= _EXACT_POW10)
+        r[at[exact]] = _round_exact(mag[at[exact]], k[exact])
+        index = np.concatenate([index, at[~exact]])
+    r = r.astype(np.int64)
     carry = r == 10**9
-    r[carry] = 10**8
-    exp += carry
-    # zeros print as 0.00000000e+00 (and nan, inf get replaced below)
-    r *= regular
-    exp *= regular
+    if carry.any():
+        r[carry] = 10**8
+        exp += carry
+    if not regular.all():
+        # zeros print as 0.00000000e+00 (and nan, inf get replaced below)
+        r *= regular
+        exp *= regular
 
-    # fixed layout: sign or 0, digit, '.', 8 digits, 'e', exponent sign,
-    # 2 exponent digits, third digit or 0, separator
-    head, low = np.divmod(r, 10**4)
-    lead, mid = np.divmod(head, 10**4)
-    buf = np.empty((values.size, 17), np.uint8)
-    buf[:, 0] = np.signbit(values) * ord("-")
-    buf[:, 1] = lead + ord("0")
-    buf[:, 2] = ord(".")
-    buf[:, 3:7].view(np.uint32)[:, 0] = _DIGITS4[mid]
-    buf[:, 7:11].view(np.uint32)[:, 0] = _DIGITS4[low]
-    buf[:, 11] = ord("e")
-    buf[:, 12:16].view(np.uint32)[:, 0] = _EXP4[exp + _EXP_BIAS]
-    buf.reshape(rows.shape + (17,))[:, :, 16] = \
-        [ord(",")] * (rows.shape[1] - 1) + [ord("\n")]
-    (index,) = np.nonzero(fallback)
+    narrow = -100 < exp.min(initial=0) and exp.max(initial=0) < 100
+    high = r // 1000
+    tail = r - high * 1000
+    lead = high // 10**4
+    mid = high - lead * 10**4
+    lead += np.signbit(values) * 100
+    words = np.empty(rows.shape + (4 if narrow else 5,), np.uint32)
+    records = words.reshape(-1, words.shape[-1])
+    # mode="clip" takes numpy's fast path into a strided out; every index
+    # is in range
+    _LEAD4.take(lead, mode="clip", out=records[:, 0])
+    _DIGITS4.take(mid, mode="clip", out=records[:, 1])
+    _TAIL4.take(tail, mode="clip", out=records[:, 2])
+    if narrow:
+        _EXP2.take(exp + 99, mode="clip", out=records[:, 3])
+    else:
+        _EXP3.take(exp + _EXP_BIAS, mode="clip", out=records[:, 3])
+        records[:, 4] = _COMMA4
+    sep_at = 15 if narrow else 16
+    words.view(np.uint8)[:, -1, sep_at] = ord("\n")
     if index.size:
-        text = (",".join([FLOAT_FMT] * index.size)
-                % tuple(values[index].tolist()))
-        buf[index, :16] = np.array(text.split(","), "S16").view(
-            np.uint8).reshape(-1, 16)
-    return buf[buf != 0].tobytes().decode("ascii")
+        texts = [FLOAT_FMT % v for v in values[index].tolist()]
+        records.view(np.uint8)[index, :sep_at] = np.array(
+            texts, f"S{sep_at}").view(np.uint8).reshape(-1, sep_at)
+    data = words.tobytes()
+    data = data.replace(b"\0", b"") if narrow else data.translate(None, b"\0")
+    return data.decode("ascii")
 
 
 def _write_csv(path, comments: list[str], header: list[str],
@@ -250,7 +279,8 @@ def _write_csv(path, comments: list[str], header: list[str],
     np.savetxt(fmt=FLOAT_FMT, delimiter=',') writes.
 
     _format_fields formats _CHUNK_ROWS rows at a time in numpy; only
-    rounding ties and non-finite fields go through '%'.
+    nan, inf and the rounding ties of |v| >= 1e9 or |v| < 1e-14 go
+    through '%'.
     """
     rows = np.asarray(rows, dtype=float)
     out = sys.stdout if path in (None, "-") else open(path, "w", newline="\n")

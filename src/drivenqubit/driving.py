@@ -249,9 +249,18 @@ def numeric_q_oracle(drive: Drive, bath: BathSpec) -> QubitOperator:
     Airy transition of the Bessel weights J_n(x) of their harmonics.  Q is then
     within 1e-13 of a 30-digit mpmath sum of the DD rate up to x = 169; a
     larger x (over 256 x 512 samples) raises ValueError, allocating nothing.
+    It takes one parameter point: an array parameter of the drive or the
+    bath raises ValueError naming it, before any grid is built.
     """
     if drive.kind not in (CDT, DD):
         raise ValueError("oracle requires a driven kind")
+    for name, value in (("amp_ratio", drive.amp_ratio),
+                        ("omega", drive.omega), ("alpha", bath.alpha),
+                        ("omega_c", bath.omega_c),
+                        ("temperature", bath.temperature)):
+        if np.ndim(value):
+            raise ValueError(f"oracle takes one parameter point; {name} "
+                             f"has shape {np.shape(value)}")
     x = float(drive.amp_ratio)
     n_psi, n1 = (max(least, 2 ** math.ceil(math.log2(
         z + 12.0 * z ** (1.0 / 3.0) + 20.0)))

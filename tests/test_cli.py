@@ -2,6 +2,7 @@ import io
 import math
 import re
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -592,6 +593,28 @@ _POWERS_OF_TEN = np.array([float(f"1e{k}") for k in range(-323, 309)])
 _RNG = np.random.default_rng(5)
 
 
+def _percent_rows():
+    """nan, +-inf and inexact ties at k = 23 (fields '%' formats) in the
+    first, the middle and the last column of ordinary rows."""
+    ties = (_RNG.integers(10**8, 10**9, 6) + 0.5) * 1e-23
+    special = np.concatenate([[np.nan, np.inf, -np.inf], ties, -ties])
+    rows = np.tile([1.5, -2.25e-5, 3.0e7], (3 * special.size, 1))
+    for column in range(3):
+        rows[column * special.size:(column + 1) * special.size,
+             column] = special
+    return rows
+
+
+# exponents at the 2/3-digit boundary, mixed in one block; a tie at
+# e = 98; 9.9999999995e98 and e99, whose r = 1e9 carries into e = 99 and
+# e = 100; 1e-300, where the one-factor power table ends, one ulp down and
+# up; -0.0 in the last column
+_EDGES = np.array([1e-100, 9.99999999e-100, 1e99, 1e100,
+                   9.999999995e98, 9.9999999995e99, 9.9999999995e98,
+                   np.nextafter(1e-300, 0.0), 1e-300,
+                   np.nextafter(1e-300, 1.0), 1.0, -0.0])
+
+
 @pytest.mark.parametrize("rows", [
     np.empty((0, 3)),
     np.array([[1.0, -2.5e-300, 3.0]]),
@@ -610,9 +633,23 @@ _RNG = np.random.default_rng(5)
     # of a tie, on either side
     (_RNG.integers(10**8, 10**9, size=(400, 3)) + 0.5)
     * 10.0 ** _RNG.integers(-300, 290, size=(400, 3)).astype(float),
+    _percent_rows(),
+    np.concatenate([_EDGES, -_EDGES]).reshape(-1, 3),
+    [[1e99, -9.99999999e99, 1.0]],
+    [[1.0, -9.99999999e-100, 1e-100]],
+    [[9.9999999995e98, -9.9999999995e98, 9.999999995e98]],
+    [[9.9999999995e99, 1.0, -1e-99]],
+    # the doubles within 1.5e-6 of the tie in q, 8 ulps on either side
+    np.concatenate([v + np.arange(-8, 9) * np.spacing(v) for v in
+                    (9.999999995e98, 9.999999995e99, -9.999999995e99)])
+    .reshape(-1, 3),
+    [[1.0, 2.0, -0.0], [-3.0, -0.0, 0.0]],
 ], ids=["empty", "one-row", "across-chunks", "nan-inf", "k/256-ties",
         "powers-of-ten-ulp", "subnormal-extremes", "several-chunks",
-        "near-ties"])
+        "near-ties", "percent-fields-each-column", "exponent-edges",
+        "two-digit-exponents", "exponent-minus-100", "carry-into-e99",
+        "carry-into-e100", "percent-ties-into-e99-e100",
+        "negative-zero-last"])
 def test_csv_rows_are_savetxt_bytes(tmp_path, rows):
     out = tmp_path / "rows.csv"
     _write_csv(str(out), ["# a comment"], ["a", "b", "c"], rows)
@@ -620,6 +657,22 @@ def test_csv_rows_are_savetxt_bytes(tmp_path, rows):
     np.savetxt(expected, rows, fmt=FLOAT_FMT, delimiter=",")
     assert out.read_bytes() == \
         ("# a comment\na,b,c\n" + expected.getvalue()).encode()
+
+
+def test_writer_memory_stays_one_block(tmp_path):
+    # an evolve table of 70,001 rows (3.4 MB of floats, 6.5 MB of text) is
+    # formatted _CHUNK_ROWS rows at a time: the peak is one block's
+    # temporaries, about 0.7 MiB
+    rows = np.column_stack([np.arange(70_001) / 256,
+                            _RNG.normal(size=(70_001, 5))])
+    tracemalloc.start()
+    try:
+        _write_csv(str(tmp_path / "rows.csv"), ["# a comment"],
+                   ["t", "a", "b", "c", "d", "e"], rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
 
 
 def _bits_to_float(bits):

@@ -314,3 +314,21 @@ class TestNumericQOracle:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             numeric_q_oracle(Drive(), make_bath())
+
+    @pytest.mark.parametrize("name", ["amp_ratio", "omega", "alpha",
+                                      "omega_c", "temperature"])
+    def test_refuses_an_array_parameter_naming_it(self, name):
+        point = {"amp_ratio": 2.4, "omega": 1000.0, "alpha": 0.01,
+                 "omega_c": 500.0, "temperature": 1.0}
+        point[name] = np.array([point[name], 2.0 * point[name]])
+        drive = Drive("dd", point.pop("amp_ratio"), point.pop("omega"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=rf"one parameter point; "
+                               rf"{name} has shape \(2,\)"):
+                numeric_q_oracle(drive, make_bath(**point))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the 64 x 128 grids of x = 2.4 alone take over 500 kB
+        assert peak < 64 << 10
