@@ -1,14 +1,16 @@
-"""Harmonic driving fields, the driven propagator and the DD harmonic sum.
+"""Harmonic driving fields, the DD harmonic sum and the Q oracle.
 
 Two drive flavours are one model with a different drive axis.  A field
 along sigma_x (the bath axis) produces coherent destruction of tunneling:
 the splitting renormalizes to Delta_eff = J0(2A/Omega)*Delta.  A field
 along sigma_z commutes with the qubit Hamiltonian and acts as
-continuous-wave dynamical decoupling.  propagator and effective_splitting
-take either kind; the time-averaged coupling operator lives in rates
-(effective_coupling), next to the rates it is built from.  Every closed
-form depends on the drive strength through x = 2A/Omega alone, so Drive
-stores x: a grid of frequencies at one drive strength has one x.
+continuous-wave dynamical decoupling.  effective_splitting takes either
+kind; the time-averaged coupling operator lives in rates
+(effective_coupling), next to the rates it is built from, and
+numeric_q_oracle recomputes its Pauli weights (QubitOperator) by brute
+force.  Every closed form depends on the drive strength through
+x = 2A/Omega alone, so Drive stores x: a grid of frequencies at one drive
+strength has one x.
 
 Drive strengths and frequencies may be numpy arrays of parameter points;
 the rate functions then evaluate the whole grid in one broadcast.
@@ -22,13 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import BathSpec, _check_range, _warn_points, power_spectrum
-from .operators import ID2, PAULIS, SX, SZ, QubitOperator, pauli_rotation
 
 NONE, CDT, DD = "none", "cdt", "dd"
 _KINDS = (NONE, CDT, DD)
-
-X_AXIS = (1.0, 0.0, 0.0)
-Z_AXIS = (0.0, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -144,25 +142,6 @@ def effective_splitting(drive: Drive) -> float:
     return 1.0
 
 
-def propagator(drive: Drive, t: float, t0: float) -> QubitOperator:
-    """High-frequency propagator of a driven qubit, for either drive kind.
-
-    U(t, t0) = exp(-i*(x/2)*[sin(Omega t) - sin(Omega t0)]*sigma_axis)
-             * exp(-i*(Delta_eff/2)*(t - t0)*sigma_z)
-
-    with axis x for CDT and z for DD.  For DD both factors commute and
-    Delta_eff = Delta, so U is exact; for CDT it is the leading order in
-    1/Omega.  Raises ValueError for an undriven Drive.
-    """
-    if drive.kind == NONE:
-        raise ValueError("propagator needs a driven kind")
-    angle = drive.amp_ratio * (
-        math.sin(drive.omega * t) - math.sin(drive.omega * t0))
-    axis = X_AXIS if drive.kind == CDT else Z_AXIS
-    return (pauli_rotation(axis, angle)
-            @ pauli_rotation(Z_AXIS, effective_splitting(drive) * (t - t0)))
-
-
 # The DD series is summed to a tail below _TAIL_TOL * S(Delta); past
 # _MAX_HARMONICS harmonics (x of about 740) it is refused, not truncated.
 _TAIL_TOL = 1e-16
@@ -219,6 +198,24 @@ def dd_harmonic_sum(drive: Drive, bath: BathSpec):
     harmonics = j2[1:] * power_spectrum(bath, w) * np.exp(-w / bath.omega_c)
     return (j2[0] * power_spectrum(bath, 1.0)
             + 2.0 * harmonics.sum(axis=0))[()]
+
+
+# Pauli matrices in the computational (sigma_z) basis
+ID2 = np.eye(2, dtype=complex)
+SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+PAULIS = (ID2, SX, SY, SZ)
+
+
+@dataclass(frozen=True)
+class QubitOperator:
+    """Pauli weights of the operator c0*1 + cx*sx + cy*sy + cz*sz."""
+
+    c0: float = 0.0
+    cx: float = 0.0
+    cy: float = 0.0
+    cz: float = 0.0
 
 
 def _rotation_matrices(axis_mat: np.ndarray, half_angles: np.ndarray):

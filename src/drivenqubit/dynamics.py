@@ -256,7 +256,7 @@ def _one_period(basis, omega, span, periods, tol):
     bounds the error Phi adds to s per period.  The count also stops once
     e(N) < N*eps, where the rounding of the step product outgrows e, and
     at _MAX_SUBSTEPS; if periods * e(N) > tol there, one RegimeWarning
-    names the estimate reached.
+    names the estimate reached and which of the two stops applied.
     """
     norm = np.abs(basis[:2]).reshape(2, 4, 4).sum(axis=1).max(axis=1).sum()
     n = min(2 ** max(0, math.ceil(math.log2(span * norm / _MAGNUS_NORM))),
@@ -271,11 +271,16 @@ def _one_period(basis, omega, span, periods, tol):
         count *= 2
         error = c / float(count) ** 6
     if periods * error > tol:
+        if error <= count * _EPS:
+            cause = (f", below the rounding floor N*eps = {count * _EPS:.3e} "
+                     "of an N-step product, where more steps cannot help")
+        else:
+            cause = f", at the {_MAX_SUBSTEPS}-step cap"
         warnings.warn(
             f"the one-period propagator stops at {count} Magnus steps with "
-            f"an error estimate of {error:.3e} per period; over {periods} "
-            f"periods that is {periods * error:.3e}, above tol = {tol:.3e}",
-            RegimeWarning, stacklevel=3)
+            f"an error estimate of {error:.3e} per period{cause}; over "
+            f"{periods} periods that is {periods * error:.3e}, above "
+            f"tol = {tol:.3e}", RegimeWarning, stacklevel=3)
     if count > 2 * n:
         levels = _step_tree(basis, omega, span, count)
     return levels, error

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import BathSpec, _warn_points, power_spectrum
-from .driving import (CDT, DD, NONE, Drive, dd_harmonic_sum,
+from .driving import (CDT, DD, NONE, Drive, QubitOperator, dd_harmonic_sum,
                       effective_splitting)
-from .operators import SIGMA_X, QubitOperator
 
 
 @dataclass(frozen=True)
@@ -130,7 +129,7 @@ def effective_coupling(drive: Drive, bath: BathSpec) -> QubitOperator:
     the harmonic sum of rate_dd; undriven it is S(Delta)/2 * sigma_x.
     numeric_q_oracle computes the same operator by brute force.
     """
-    return effective_rate(bath, drive) * SIGMA_X
+    return QubitOperator(cx=effective_rate(bath, drive))
 
 
 def build_report(bath: BathSpec, drive: Drive) -> RateReport:

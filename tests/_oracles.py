@@ -1,6 +1,6 @@
 """Independent brute-force oracles used across the test suite.
 
-Everything here is deliberately naive (series summation, raw 2x2 matrix
+Everything here is deliberately naive (series summation, raw matrix
 arithmetic, high-order quadrature-free limits) and shares no code path
 with the package internals it checks.
 """
@@ -10,11 +10,6 @@ import math
 import mpmath as mp
 import numpy as np
 from scipy.integrate import solve_ivp
-
-ID2 = np.eye(2, dtype=complex)
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def expm_series(a, terms=40):
@@ -40,11 +35,6 @@ def bessel_series(n, x, terms=30):
 def coth_exp(x):
     """coth via exponentials, no tanh call."""
     return (math.exp(x) + math.exp(-x)) / (math.exp(x) - math.exp(-x))
-
-
-def pauli_coeffs(m):
-    """Pauli decomposition of a 2x2 matrix by explicit traces."""
-    return tuple(np.trace(p @ m) / 2.0 for p in (ID2, SX, SY, SZ))
 
 
 def rate_dd_series(x, omega, alpha, omega_c, temperature):

@@ -338,7 +338,7 @@ class TestFloquetPropagator:
         undriven = evolve(make_bath(), Drive(), self.S0, 5.0, 0.5)
         assert undriven.substeps is None and undriven.period_error is None
 
-    def test_step_cap_warns_with_its_estimate(self):
+    def test_rounding_floor_warns_with_its_estimate(self):
         # 3183 periods at tol = 1e-12 ask for ~3e-16 per period, below the
         # rounding of the step product
         d = Drive("dd", 2.4, 100.0)
@@ -349,8 +349,27 @@ class TestFloquetPropagator:
         # e(N/2) = 2^6 e(N) was still >= N/2 * eps
         n, eps = traj.substeps, np.finfo(float).eps
         assert traj.period_error < n * eps <= 2 ** 7 * traj.period_error
+        message = str(record[0].message)
         assert f"error estimate of {traj.period_error:.3e} per period" \
-            in str(record[0].message)
+            in message
+        assert f"below the rounding floor N*eps = {n * eps:.3e}" in message
+        assert "cap" not in message
+
+    def test_step_cap_warns_with_its_estimate(self):
+        # at x = 1e4 the first step count is already half of the 8192-step
+        # cap, and the truncation estimate there stays far above N*eps
+        d = Drive("cdt", 1.0e4, 100.0)
+        with pytest.warns(RegimeWarning) as record:
+            traj = evolve(make_bath(), d, (0.5, 0.0, 0.0), d.period,
+                          0.5 * d.period, tol=1e-12)
+        assert len(record) == 1
+        n, eps = traj.substeps, np.finfo(float).eps
+        assert n == 8192 and traj.period_error >= n * eps
+        message = str(record[0].message)
+        assert f"error estimate of {traj.period_error:.3e} per period" \
+            in message
+        assert "at the 8192-step cap" in message
+        assert "rounding floor" not in message
 
     def test_divergence_names_fixed_point_outside_ball(self):
         # J0 zero at a low temperature: Gamma_DD < pi*alpha*Delta puts the

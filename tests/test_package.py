@@ -1,7 +1,8 @@
-"""The public surface: every name in drivenqubit.__all__ resolves, and
-no command loads scipy."""
+"""The public surface: every name in drivenqubit.__all__ resolves, the
+README's library tour runs, and no command loads scipy."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -18,6 +19,16 @@ def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from drivenqubit import *", namespace)
     assert set(drivenqubit.__all__) <= set(namespace)
+
+
+def test_readme_library_tour_runs():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as f:
+        readme = f.read()
+    tour = re.search(r"^## Library tour\n+```python\n(.*?)^```", readme,
+                     re.DOTALL | re.MULTILINE)
+    assert tour is not None
+    exec(tour.group(1), {})
 
 
 # Runs in a fresh interpreter, as the test process has scipy loaded
