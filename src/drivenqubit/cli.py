@@ -32,10 +32,14 @@ driven evolve records the Magnus steps per drive period and the estimated
 error of its one-period propagator as '# substeps = N' and
 '# period_error = e' in its header.  With
 several temperatures scan writes one file per temperature, the stem of
---out suffixed with _T<temperature>; --out - (or no --out) writes every
-table to stdout.  All CSV output is deterministic: '#'-prefixed comments
-carry the resolved configuration, floats are written with 9 significant
-digits, Unix line endings.
+--out suffixed with _T<temperature in %g form>, and exits with status 2
+before writing where two temperatures share a name; --out - (or no
+--out) writes every table to stdout.  All CSV output is deterministic:
+'#'-prefixed comments carry the resolved configuration, floats are
+written with 9 significant digits as '%.8e' writes them, Unix line
+endings.  The floats are formatted in numpy; '%' itself writes only nan,
+inf, -inf, |v| < 1e-300, a decimal exponent that log10 got one off, a
+carry of the digits to 10**9, and the ties of |v| >= 1e9 or |v| < 1e-14.
 """
 
 from __future__ import annotations
@@ -63,9 +67,10 @@ _CHUNK_ROWS = 1024
 
 # Tables of _format_fields.  _POW10[k + _POW10_BIAS] is 10**k correctly
 # rounded, k = -300 .. 308: float() of the decimal literal, where a libm
-# pow need not be.
-_POW10_BIAS = 300
-_POW10 = np.array([float(f"1e{k}") for k in range(-_POW10_BIAS, 309)])
+# pow need not be.  It is 0 at k = -301 and 309, where any k past the
+# table is clipped to.
+_POW10_BIAS = 301
+_POW10 = np.array([0.0, *(float(f"1e{k}") for k in range(-300, 309)), 0.0])
 _EXP_BIAS = 324  # 5e-324 is 4.94065646e-324
 # 10**k is exact in a double up to k = 22 (5**22 < 2**53)
 _EXACT_POW10 = 22
@@ -132,14 +137,6 @@ def _config_comments(cfg: dict) -> list[str]:
     return lines
 
 
-def _scaled(mag: np.ndarray, exp: np.ndarray) -> np.ndarray:
-    """mag * 10**(8 - exp), as two table factors: no overflow or underflow
-    from 5e-324 up to 1.8e308."""
-    k = 8 - exp
-    half = k >> 1
-    return (mag * _POW10[half + _POW10_BIAS]) * _POW10[k - half + _POW10_BIAS]
-
-
 def _split(a: np.ndarray):
     """Veltkamp's split of a into a high and a low half of 26 bits each."""
     c = 134217729.0 * a  # 2**27 + 1
@@ -177,74 +174,64 @@ def _format_fields(rows: np.ndarray) -> str:
     fields of a row and '\\n' after each: the bytes of '%' in numpy.
 
     A finite nonzero v is written from e = floor(log10 |v|) and the digits
-    of r = rint(q), q = |v| * 10**(8 - e) in [1e8, 1e9).  Why r is the
-    digits '%' prints: for e >= -300, q is |v| times one table power,
-    correctly rounded, and the product rounds once, so the computed q is
-    the exact one times (1 + d1)(1 + d2), |di| <= 2**-53: a relative
-    error below 2.3e-16 and an absolute one below 2.3e-7 for q < 1e9.
-    Below 1e-300, where 10**(8 - e) is past the largest double, and where
-    log10 put e one off (q outside [1e8, 1e9), e moved by one), _scaled
-    takes two table factors: four roundings, below 4.5e-7.  rint(q) comes
-    first; where |q - rint(q)| <= 1/2 - 1e-6, q is at least 1e-6 from a
+    of r = rint(q), q = |v| * 10**(8 - e).  For e >= -300, q is |v| times
+    one table power, correctly rounded, and the product rounds once, so
+    the computed q is the exact one times (1 + d1)(1 + d2), |di| <= 2**-53:
+    an absolute error below 2.3e-7 for q < 1e9.  Where q >= 1e8 and
+    r < 1e9, the exact q lies in (1e8 - 2.3e-8, 1e9): e is right, or one
+    too high for a |v| that '%' rounds up to 1.00000000e{e}, the digits
+    of r = 1e8.  Where |q - r| <= 1/2 - 1e-6, q is at least 1e-6 from a
     half-integer, no half-integer lies between the computed and the exact
     q, and rint gives the correctly rounded r.  Inside that band (exact
     decimal ties such as the sample times k/256: 5-7% of the fields of an
-    evolve table at dt = 1/256 or 1/128) the exact q is within 1.5e-6 of
-    a half-integer, so no integer lies near it and e is right; where
-    10**(8 - e) is exact, 0 <= 8 - e <= 22, _round_exact rounds the exact
-    product, and the remaining band fields (|v| >= 1e9 or |v| < 1e-14)
-    and the non-finite ones are formatted by '%'.  A block with no band
-    field, no e to correct and no r = 1e9 to carry skips those steps.
+    evolve table at dt = 1/256 or 1/128), where 10**(8 - e) is exact,
+    0 <= 8 - e <= 22, _round_exact rounds the exact product.  It does not
+    carry: q rounds the exact product once, so an exact product of at
+    least 1e9 - 1/2 has q >= 1e9 - 1/2 and r = 1e9 already.
+
+    Every other field is odd, and '%' writes it: nan, inf and -inf; an e
+    below -300 (|v| < 1e-300), where 10**(8 - e) is past the largest
+    double and the table reads 0, so q = 0; an e that log10 put one too
+    high (q < 1e8, or q = 0 past the table at e = 309) or one too low
+    (r >= 1e9, or q = 0 at e = -301); a carry to r = 1e9; and the band
+    fields of |v| >= 1e9 or |v| < 1e-14, where 10**(8 - e) is not exact.
 
     Each field becomes a record of uint32 words, each one gather from a
     table: _LEAD4, _DIGITS4, _TAIL4 and _EXP2, 16 bytes whose one zero
     byte is the sign of a positive field, dropped by bytes.replace; in a
-    block with a 3-digit exponent, _LEAD4, _DIGITS4, _TAIL4, _EXP3 and
-    _COMMA4, 20 bytes, whose zero bytes bytes.translate drops.  The last
-    field of a row gets '\\n' for its ','.  A '%' field's text, zero-padded,
-    overwrites its record up to the separator; it is 16 characters only
-    with a 3-digit exponent, and '%' writes one only where e has one, or
-    for a tie at e = 99 that rounds up to -1.00000000e+100: the band
-    doubles next to -9.999999995e99, and each of those that '%' rounds up
-    has rint(q) = 1e9, so its e carries to 100 too.
+    block with an e outside -98 .. 97, _LEAD4, _DIGITS4, _TAIL4, _EXP3
+    and _COMMA4, 20 bytes, whose zero bytes bytes.translate drops.  The
+    last field of a row gets '\\n' for its ','.  An odd field's '%' text,
+    zero-padded, overwrites its record up to the separator, 15 bytes in
+    the first layout and 16 in the second.  '%' prints the exponent of |v|
+    or, where it carries, one more, and e is at most one off the exponent
+    of |v|: a field prints an exponent in e - 1 .. e + 2.  With every e in
+    -98 .. 97 that exponent has two digits and the text fits 15 bytes;
+    the longest text '%' writes, -1.00000000e-308, fits 16.
     """
     values = rows.ravel()
     finite = np.isfinite(values)
     mag = np.abs(values)
     regular = finite & (mag > 0)
-    # the placeholder 1.0 keeps log10 off 0 and inf
+    # the placeholder 1.0 keeps log10 off 0 and inf, and gives e = 0
     mag = np.where(regular, mag, 1.0)
     exp = np.floor(np.log10(mag)).astype(np.int64)
     q = mag * _POW10.take(8 - exp + _POW10_BIAS, mode="clip")
-    tiny = exp < -_POW10_BIAS
-    if tiny.any():
-        q[tiny] = _scaled(mag[tiny], exp[tiny])
-    # log10 rounds: near a power of ten e can be one off
-    under, over = q < 1e8, q >= 1e9
-    fix = under | over
-    if fix.any():
-        exp += over
-        exp -= under
-        q[fix] = _scaled(mag[fix], exp[fix])
     r = np.rint(q)
-    (index,) = np.nonzero(~finite)
+    odd = ~finite | (q < 1e8) | (r >= 1e9)
     (at,) = np.nonzero(np.abs(q - r) > 0.5 - 1e-6)
     if at.size:
         k = 8 - exp[at]
         exact = (k >= 0) & (k <= _EXACT_POW10)
         r[at[exact]] = _round_exact(mag[at[exact]], k[exact])
-        index = np.concatenate([index, at[~exact]])
+        odd[at[~exact]] = True
+    (index,) = np.nonzero(odd)
     r = r.astype(np.int64)
-    carry = r == 10**9
-    if carry.any():
-        r[carry] = 10**8
-        exp += carry
     if not regular.all():
         # zeros print as 0.00000000e+00 (and nan, inf get replaced below)
         r *= regular
-        exp *= regular
 
-    narrow = -100 < exp.min(initial=0) and exp.max(initial=0) < 100
+    narrow = -99 < exp.min(initial=0) and exp.max(initial=0) < 98
     high = r // 1000
     tail = r - high * 1000
     lead = high // 10**4
@@ -253,7 +240,7 @@ def _format_fields(rows: np.ndarray) -> str:
     words = np.empty(rows.shape + (4 if narrow else 5,), np.uint32)
     records = words.reshape(-1, words.shape[-1])
     # mode="clip" takes numpy's fast path into a strided out; every index
-    # is in range
+    # is in range but an odd field's, whose record '%' overwrites
     _LEAD4.take(lead, mode="clip", out=records[:, 0])
     _DIGITS4.take(mid, mode="clip", out=records[:, 1])
     _TAIL4.take(tail, mode="clip", out=records[:, 2])
@@ -279,8 +266,9 @@ def _write_csv(path, comments: list[str], header: list[str],
     np.savetxt(fmt=FLOAT_FMT, delimiter=',') writes.
 
     _format_fields formats _CHUNK_ROWS rows at a time in numpy; only
-    nan, inf and the rounding ties of |v| >= 1e9 or |v| < 1e-14 go
-    through '%'.
+    nan, inf, -inf, |v| < 1e-300, a decimal exponent that log10 got one
+    off, a carry of the digits to 10**9 and the rounding ties of
+    |v| >= 1e9 or |v| < 1e-14 go through '%'.
     """
     rows = np.asarray(rows, dtype=float)
     out = sys.stdout if path in (None, "-") else open(path, "w", newline="\n")
@@ -352,7 +340,17 @@ def cmd_scan(cfg: dict) -> int:
         header.append(_ETA_COLUMNS[cfg["drive"]])
 
     temperatures = [None] if param == "temperature" else cfg["temperature"]
-    for temperature in temperatures:
+    paths = [cfg["out"]] * len(temperatures)
+    if len(temperatures) > 1 and cfg["out"] not in (None, "-"):
+        # split the extension of the file name only, not of a directory
+        root, ext = os.path.splitext(cfg["out"])
+        paths = [f"{root}_T{t:g}{ext}" for t in temperatures]
+        for i, path in enumerate(paths):
+            first = paths.index(path)
+            if first < i:
+                raise ValueError(f"temperatures {temperatures[first]} and "
+                                 f"{temperatures[i]} both write {path}")
+    for temperature, path in zip(temperatures, paths):
         # the swept parameter becomes an array of points; the bath and
         # drive checks then run once over the whole grid
         grid = dict(cfg, temperature=temperature)
@@ -366,12 +364,6 @@ def cmd_scan(cfg: dict) -> int:
             columns.append(report.eta)
         rows = np.column_stack(np.broadcast_arrays(*columns))
 
-        path = cfg["out"]
-        if (temperature is not None and len(temperatures) > 1
-                and path not in (None, "-")):
-            # split the extension of the file name only, not of a directory
-            root, ext = os.path.splitext(path)
-            path = f"{root}_T{temperature:g}{ext}"
         # the sweep, min, max, points and spacing lines describe the swept
         # parameter's values
         comments = _config_comments(

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drivenqubit import RegimeWarning, rates
+from drivenqubit import RegimeWarning, cli, rates
 from drivenqubit.cli import (_CHUNK_ROWS, FLOAT_FMT, _format_fields,
                              _write_csv, build_parser, main)
 
@@ -168,6 +168,18 @@ class TestScan:
         assert sorted(p.name for p in (tmp_path / "run.v2").iterdir()) == \
             ["scan_T0.1", "scan_T1"]
 
+    def test_temperatures_sharing_a_file_name_are_usage_error(self, tmp_path,
+                                                              capsys):
+        # both temperatures print as 0.1 under %g: no file is written
+        assert main(["scan", "--sweep", "omega", "--min", "10", "--max",
+                     "20", "--points", "2", "--temperature", "0.1000001",
+                     "--temperature", "0.1000002",
+                     "--out", str(tmp_path / "s.csv")]) == 2
+        assert capsys.readouterr().err == (
+            "error: temperatures 0.1000001 and 0.1000002 both write "
+            f"{tmp_path / 's_T0.1.csv'}\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_dash_writes_every_temperature_to_stdout(self, tmp_path,
                                                      monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -304,6 +316,44 @@ class TestScan:
         assert main(["scan", "--min", "1", "--max", "2", "--points", "2"]) \
             == 2
         assert "sweep" in capsys.readouterr().err
+
+    def test_one_point_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--sweep", "omega", "--min", "10", "--max",
+                     "20", "--points", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "error: sweeps need at least 2 points\n"
+        assert not out.exists()
+
+    def test_other_warnings_keep_python_format(self, tmp_path, capsys,
+                                               monkeypatch):
+        # a warning that is not a RegimeWarning, raised inside main, is
+        # shown as Python's own formatwarning writes it
+        build_report = cli.build_report
+
+        def warning_report(*args):
+            warnings.warn("not a regime warning", UserWarning)
+            return build_report(*args)
+
+        shown = []
+
+        def show(message, category, filename, lineno, file=None, line=None):
+            shown.append((warnings.formatwarning(message, category,
+                                                 filename, lineno, line),
+                          python_format(message, category, filename,
+                                        lineno, line)))
+
+        monkeypatch.setattr(cli, "build_report", warning_report)
+        monkeypatch.setattr(warnings, "showwarning", show)
+        python_format = warnings.formatwarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            assert main(["scan", "--sweep", "omega", "--min", "10", "--max",
+                         "20", "--points", "2",
+                         "--out", str(tmp_path / "scan.csv")]) == 0
+        [(text, python_text)] = shown
+        assert text == python_text
+        assert "UserWarning: not a regime warning" in text
 
 
 class TestEvolve:
@@ -473,6 +523,13 @@ class TestConfigFile:
                      "--out", str(out)]) == 0
         _, header, _ = read_csv(out)
         assert header[0] == "amp_ratio"
+
+    def test_line_without_equals_names_its_place(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("# a comment\nalpha = 0.02\nomega 5\n")
+        assert main(["rates", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {cfg}:3: expected 'key = value'\n"
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -687,6 +744,23 @@ def test_fields_are_percent_bytes(values):
     # raw float64 bit patterns: subnormals, nan payloads, every exponent
     assert _format_fields(np.array([values])) == \
         ",".join(FLOAT_FMT % v for v in values) + "\n"
+
+
+@pytest.mark.parametrize("shift", [-1.0, 1.0])
+def test_exponents_one_off_are_percent_bytes(monkeypatch, shift):
+    # log10 one off at every field, as it may be next to a power of ten:
+    # '%' writes each field, in one block and in blocks of one field,
+    # where it prints e - 1 .. e + 2 into the layout chosen from e (zeros,
+    # nan and inf take log10(1) = 0 and are left out)
+    values = np.concatenate([_POWERS_OF_TEN, np.nextafter(_POWERS_OF_TEN, 0.0),
+                             _EDGES[_EDGES != 0.0],
+                             [5e-324, 1.7976931348623157e308]])
+    values = np.concatenate([values, -values])
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda mag: log10(mag) + shift)
+    texts = [FLOAT_FMT % v + "\n" for v in values.tolist()]
+    assert _format_fields(values[:, None]) == "".join(texts)
+    assert [_format_fields(np.array([[v]])) for v in values] == texts
 
 
 def _dyadic_ties(k):
