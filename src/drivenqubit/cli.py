@@ -30,7 +30,10 @@ length from the grid (dropped tail below 1e-16 * S(Delta)), records it as
 exit status 2 where x = 2A/Omega is too large for it to converge.  A
 driven evolve records the Magnus steps per drive period and the estimated
 error of its one-period propagator as '# substeps = N' and
-'# period_error = e' in its header.  With
+'# period_error = e' in its header; evolve writes its rows a block at a
+time, as dynamics.evolve_blocks computes them.  A reader of the output
+that stops early (a closed pipe) ends a command with status 141 and no
+error line.  With
 several temperatures scan writes one file per temperature, the stem of
 --out suffixed with _T<temperature in %g form>, and exits with status 2
 before writing where two temperatures share a name; --out - (or no
@@ -46,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import os
 import sys
 import warnings
@@ -56,13 +60,13 @@ import numpy as np
 from . import __version__
 from .bath import BathSpec, RegimeWarning
 from .driving import _KINDS, CDT, DD, NONE, Drive, _harmonic_count
-from .dynamics import IntegrationDivergedError, evolve
+from .dynamics import IntegrationDivergedError, evolve_blocks
 from .rates import build_report, stabilization_eta
 
 FLOAT_FMT = "%.8e"  # 9 significant digits
-# rows _write_csv formats at a time: the (fields, 4 or 5) word buffer and
-# the float and int64 temporaries of 1024 rows of 6 columns take under
-# 1 MB; 4096-row blocks raised the peak RSS of a 70,001-row evolve by 2 MB
+# rows _write_blocks formats at a time: the (fields, 4 or 5) word buffer
+# and the float and int64 temporaries of 1024 rows of 6 columns take under
+# 1 MB; 4096-row chunks raised the peak RSS of a 70,001-row evolve by 2 MB
 _CHUNK_ROWS = 1024
 
 # Tables of _format_fields.  _POW10[k + _POW10_BIAS] is 10**k correctly
@@ -260,9 +264,10 @@ def _format_fields(rows: np.ndarray) -> str:
     return data.decode("ascii")
 
 
-def _write_csv(path, comments: list[str], header: list[str],
-               rows) -> None:
-    """Comments, header and rows; the rows are the same bytes as
+def _write_blocks(path, comments: list[str], header: list[str],
+                  blocks) -> None:
+    """Comments, header and the rows of each 2-D block of blocks, written
+    as each block comes; the rows are the same bytes as
     np.savetxt(fmt=FLOAT_FMT, delimiter=',') writes.
 
     _format_fields formats _CHUNK_ROWS rows at a time in numpy; only
@@ -270,17 +275,23 @@ def _write_csv(path, comments: list[str], header: list[str],
     off, a carry of the digits to 10**9 and the rounding ties of
     |v| >= 1e9 or |v| < 1e-14 go through '%'.
     """
-    rows = np.asarray(rows, dtype=float)
     out = sys.stdout if path in (None, "-") else open(path, "w", newline="\n")
     try:
         for line in comments:
             out.write(line + "\n")
         out.write(",".join(header) + "\n")
-        for start in range(0, len(rows), _CHUNK_ROWS):
-            out.write(_format_fields(rows[start:start + _CHUNK_ROWS]))
+        for rows in blocks:
+            for start in range(0, len(rows), _CHUNK_ROWS):
+                out.write(_format_fields(rows[start:start + _CHUNK_ROWS]))
     finally:
         if out is not sys.stdout:
             out.close()
+
+
+def _write_csv(path, comments: list[str], header: list[str],
+               rows) -> None:
+    """_write_blocks of one whole table."""
+    _write_blocks(path, comments, header, [np.asarray(rows, dtype=float)])
 
 
 def _harmonics_comment(drive: Drive, bath: BathSpec) -> str:
@@ -382,19 +393,22 @@ def cmd_evolve(cfg: dict) -> int:
     drive = Drive(cfg["drive"], cfg["amp_ratio"], cfg["omega"])
     header = ["t", "s_x", "s_y", "s_z", "S", "Sdot"]
     try:
-        traj = evolve(bath, drive, cfg["s0"], cfg["t_max"], cfg["dt_out"],
-                      tol=cfg["tol"])
+        blocks = evolve_blocks(bath, drive, cfg["s0"], cfg["t_max"],
+                               cfg["dt_out"], tol=cfg["tol"])
     except IntegrationDivergedError as exc:
         comments = _config_comments(cfg) + [f"# DIVERGED: {exc}"]
         _write_csv(cfg["out"], comments, header, [])
         print(f"integration diverged: {exc}", file=sys.stderr)
         return 1
+    # every block carries the header's substeps and period_error
+    first = next(blocks)
     comments = _config_comments(cfg)
-    if traj.substeps is not None:
-        comments += [f"# substeps = {traj.substeps}",
-                     f"# period_error = {traj.period_error:.3e}"]
-    rows = np.column_stack([traj.t, traj.s, traj.entropy, traj.entropy_rate])
-    _write_csv(cfg["out"], comments, header, rows)
+    if first.substeps is not None:
+        comments += [f"# substeps = {first.substeps}",
+                     f"# period_error = {first.period_error:.3e}"]
+    _write_blocks(cfg["out"], comments, header,
+                  (np.column_stack([b.t, b.s, b.entropy, b.entropy_rate])
+                   for b in itertools.chain([first], blocks)))
     return 0
 
 
@@ -580,6 +594,16 @@ def main(argv=None) -> int:
                                                python_format)
     try:
         return args.func(_resolve(args))
+    except BrokenPipeError:
+        # the reader of the output stopped, as 'drivenqubit ... | head'
+        # does: no error line, and stdout goes to /dev/null so that the
+        # interpreter's last flush of it stays quiet (Python docs, "Note on
+        # SIGPIPE"); 128 + SIGPIPE, as a shell reports a process that
+        # SIGPIPE ended
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

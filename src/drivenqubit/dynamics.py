@@ -14,8 +14,11 @@ sixth-order Magnus steps, each the matrix exponential (_expm) of a
 closed-form exponent from A at three Gauss points, with as many steps as
 the whole run's error budget tol needs, or as the rounding of the step
 product allows; an undriven run takes powers of one exponential.  The powers
-for all samples come from one table built by doubling, a few whole-array
-matrix products (_powers).  The package runs on numpy alone.
+come from one table of the first 4096, built by doubling, and the squares
+of the higher bits (_power_columns).  evolve_blocks computes the samples
+4096 at a time, so a long dense trajectory streams in the memory of one
+block; evolve joins the blocks into whole arrays.  The package runs on
+numpy alone.
 
 evolve calls no ODE solver.  dynamics.solve_ivp (scipy's) stays a module
 attribute only because perfbench's tracer swaps that name to count solver
@@ -51,6 +54,13 @@ class IntegrationDivergedError(RuntimeError):
 
 class NoSteadyStateError(ValueError):
     """The decay matrix is singular (alpha = 0): no unique fixed point."""
+
+
+# samples evolve_blocks computes at a time.  A block's temporaries do not
+# grow with the sample count (a 70,001-row CLI evolve and a 280,001-row
+# one both peak at 1.5 MiB of tracemalloc); with blocks of 1024 the numpy
+# calls made per block took a 70,001-row evolve ~20 % longer
+_BLOCK_SAMPLES = 4096
 
 
 @dataclass(frozen=True)
@@ -113,32 +123,69 @@ _EXPM_NORM = 0.5
 _EXPM_TERMS = 14
 
 
-def _expm(a: np.ndarray) -> np.ndarray:
+def _expm_power(a: np.ndarray) -> int:
+    """The smallest s >= 0 with 1-norm(a)/2^s <= _EXPM_NORM; a stack
+    takes the largest 1-norm of its matrices."""
+    norm = float(np.abs(a).sum(axis=-2).max())
+    return max(0, math.ceil(math.log2(norm / _EXPM_NORM))) if norm else 0
+
+
+def _expm_series(a: np.ndarray, s: int, eye: np.ndarray) -> np.ndarray:
+    """E = e^b - I for b = a/2^s, b(I + b/2(I + b/3(...))) by Horner's
+    rule; eye is the identity of a's size."""
+    b = a / 2.0 ** s
+    e = np.zeros_like(b)
+    for k in range(_EXPM_TERMS, 0, -1):
+        e = b @ (eye + e) / k
+    return e
+
+
+def _carry(e: np.ndarray, limit: int):
+    """Square I + E as I + (2E + E^2) while no entry of E exceeds 1/2, at
+    most limit times; the last E and the number of squarings."""
+    count = 0
+    while count < limit and np.abs(e).max() <= 0.5:
+        e = 2.0 * e + e @ e
+        count += 1
+    return e, count
+
+
+def _expm(a: np.ndarray, scaling=None) -> np.ndarray:
     """Matrix exponential e^a by a Taylor series with scaling and squaring.
 
     a is one square matrix or a stack of them, shape (..., n, n); a stack
     shares the scaling of its largest 1-norm.  b = a/2^s has 1-norm <= 1/2,
-    and E = e^b - I = b(I + b/2(I + b/3(...))) is summed by Horner's rule.
-    The squarings carry E itself, as (I + E)^2 = I + (2E + E^2), so the
+    and E = e^b - I is summed by Horner's rule (_expm_series).  The
+    squarings carry E itself, as (I + E)^2 = I + (2E + E^2), so the
     low bits of e^b next to the identity are not rounded away; once an
     entry of E reaches 1/2, e^b is no longer near I and the remaining
     squarings act on I + E, which keeps entries that decay toward 0 from
-    rounding against 1.
+    rounding against 1.  scaling = (s, c), from _expm_scaling, gives a
+    the scaling of a larger stack it is part of: every matrix then gets
+    the bits of one call on that whole stack.
     """
-    norm = float(np.abs(a).sum(axis=-2).max())
-    s = max(0, math.ceil(math.log2(norm / _EXPM_NORM))) if norm else 0
-    b = a / 2.0 ** s
+    s, limit = scaling or (_expm_power(a),) * 2
     eye = np.eye(a.shape[-1])
-    e = np.zeros_like(b)
-    for k in range(_EXPM_TERMS, 0, -1):
-        e = b @ (eye + e) / k
-    while s and np.abs(e).max() <= 0.5:
-        e = 2.0 * e + e @ e
-        s -= 1
+    e, carried = _carry(_expm_series(a, s, eye), limit)
     m = eye + e
-    for _ in range(s):
+    for _ in range(s - carried):
         m = m @ m
     return m
+
+
+def _expm_scaling(parts) -> tuple:
+    """The scaling (s, c) that _expm gives the stacks of parts() joined
+    into one; parts makes a new iterable on each call.
+
+    s comes from the largest 1-norm of all parts.  A stack carries E
+    through its squarings until an entry of any of its matrices passes
+    1/2, so the whole carries it c times, the fewest of any part.
+    """
+    s = max(map(_expm_power, parts()))
+    if not s:
+        return 0, 0
+    return s, min(_carry(_expm_series(a, s, np.eye(a.shape[-1])), s)[1]
+                  for a in parts())
 
 
 # the first Magnus step count has h*(|A0|_1 + |A1|_1) <= _MAGNUS_NORM.
@@ -286,45 +333,74 @@ def _one_period(basis, omega, span, periods, tol):
     return levels, error
 
 
-def _powers(step: np.ndarray, n: np.ndarray, v0: np.ndarray) -> np.ndarray:
-    """Columns step^n[k] @ v0, shape (4, len(n)), for nondecreasing n.
+def _gemm(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a @ v for columns v, shape (4, k), through gemm for every k.
 
-    The powers below B = min(n[-1] + 1, 2^b), with 2^b the smallest power
-    of two >= len(n), are built by doubling: with m = 2^j, columns
-    m .. 2m-1 of one preallocated table are step^m @ columns 0 .. m-1, one
-    matmul per j.  A sample with n >= B takes the table column of its low
-    bits, n mod B, then the squares step^B, step^2B, ... of its high bits
-    by masked binary powering.  Either way a column takes the squares
-    step^(2^j) of the set bits of its n, lowest first, as plain binary
-    powering would, and the memory is that of len(n) columns, not of
-    max(n): a driven run sampled less than once per period reaches
-    n ~ 1e8.  For n = 0, 1, 2, ... (an undriven run) the table is the
-    result.
+    numpy hands a single column to gemv, which sums in another order than
+    gemm: two copies of it keep the rounding of gemm, so a column gets the
+    same bits in a block of any width.
     """
-    size = min(int(n[-1]) + 1, 1 << (len(n) - 1).bit_length())
+    if v.shape[1] == 1:
+        return (a @ v[:, [0, 0]])[:, :1]
+    return a @ v
+
+
+# a power n is the table column of its low _LOW_BITS bits times the
+# squares of its higher bits: one block of samples, one table
+_LOW_BITS = _BLOCK_SAMPLES.bit_length() - 1
+
+
+def _power_columns(step: np.ndarray, v0: np.ndarray, n_max: int):
+    """columns(n): step^n[k] @ v0 for nondecreasing n <= n_max, shape
+    (4, len(n)).
+
+    The table of the powers below min(n_max + 1, 2^_LOW_BITS) is built
+    once, by doubling: with m = 2^j, its columns m .. 2m-1 are step^m @
+    columns 0 .. m-1, one matmul per j.  columns(n) takes the table column
+    of the low bits of each n, then the squares step^(2^j) of its high
+    bits, lowest first: one matmul per set bit where every n shares it
+    (all of an undriven block), masked by np.where where only some do.
+    Either way a column takes the squares of the set bits of its n, lowest
+    first, as plain binary powering would, each product through gemm.
+    The memory is that of one table and of len(n) columns, not of n_max:
+    a driven run sampled less than once per period reaches n ~ 1e8.
+    """
+    size = min(n_max + 1, 1 << _LOW_BITS)
     table = np.empty((len(v0), size))
     table[:, 0] = v0
+    squares = [step]
     m = 1
     while m < size:
         width = min(m, size - m)
-        if width > 1:
-            np.matmul(step, table[:, :width], out=table[:, m:m + width])
-        else:
-            # numpy hands a single column to gemv, which sums in another
-            # order than gemm: two copies of it keep the rounding of gemm
-            table[:, m] = (step @ table[:, [0, 0]])[:, 0]
-        step = step @ step
+        table[:, m:m + width] = _gemm(squares[-1], table[:, :width])
+        squares.append(squares[-1] @ squares[-1])
         m *= 2
-    if len(n) == size and n[-1] == size - 1 and (n[1:] > n[:-1]).all():
-        return table
-    # step is now step^m, m the smallest power of two >= size
-    v = table[:, n & (m - 1)]
-    high = n >> (m.bit_length() - 1)
-    while high.any():
-        v = np.where(high & 1, step @ v, v)
-        high >>= 1
-        step = step @ step
-    return v
+    while len(squares) < n_max.bit_length():
+        squares.append(squares[-1] @ squares[-1])
+
+    def columns(n: np.ndarray) -> np.ndarray:
+        v = table.take(n & ((1 << _LOW_BITS) - 1), axis=1)
+        bits = int(n[0]) >> _LOW_BITS
+        if bits == int(n[-1]) >> _LOW_BITS:
+            for square in squares[_LOW_BITS:_LOW_BITS + bits.bit_length()]:
+                if bits & 1:
+                    v = _gemm(square, v)
+                bits >>= 1
+            return v
+        high = n >> _LOW_BITS
+        for square in squares[_LOW_BITS:]:
+            if not high.any():
+                break
+            v = np.where(high & 1, _gemm(square, v), v)
+            high = high >> 1
+        return v
+    return columns
+
+
+def _powers(step: np.ndarray, n: np.ndarray, v0: np.ndarray) -> np.ndarray:
+    """Columns step^n[k] @ v0, shape (4, len(n)), for nondecreasing n, in
+    one call of _power_columns."""
+    return _power_columns(step, v0, int(n[-1]))(n)
 
 
 def _outside_fixed_point(step: np.ndarray, gamma_eff: float,
@@ -348,9 +424,11 @@ def _outside_fixed_point(step: np.ndarray, gamma_eff: float,
             f"too weak for the inhomogeneity |b| = {abs(b_z):.3e}")
 
 
-def evolve(bath: BathSpec, drive: Drive, s0, t_max: float, dt_out: float,
-           tol: float = 1e-9) -> Trajectory:
-    """Sample the Bloch trajectory every dt_out through the one-period map.
+def evolve_blocks(bath: BathSpec, drive: Drive, s0, t_max: float,
+                  dt_out: float, tol: float = 1e-9):
+    """The samples of evolve, _BLOCK_SAMPLES at a time (a lone last sample
+    joins the block before it): an iterator of Trajectory blocks, each
+    with the run's substeps and period_error.
 
     In augmented form d/dt (s, 1) = A(t) (s, 1) with A(t) = A0 +
     cos(Omega t) A1.  A is periodic with the drive period T = 2*pi/Omega,
@@ -362,17 +440,23 @@ def evolve(bath: BathSpec, drive: Drive, s0, t_max: float, dt_out: float,
     steps times one sixth-order partial step.  N is the smallest power of
     two at which ceil(t_max/T) times the one-period error estimate is
     <= tol, unless the rounding of the step product stops it first (see
-    _one_period); the result records N (substeps) and the estimate
-    (period_error).  Phi(T)^n (s0, 1) comes from _powers: a table of the
-    powers below the sample count, built by doubling, and binary powering
-    from there on, so the cost does not grow with t_max / T.  An
-    undriven run needs no steps: sample k is exp(A0*dt_out)^k (s0, 1),
-    the table itself.
+    _one_period); the blocks record N (substeps) and the estimate
+    (period_error).  Phi(T)^n (s0, 1) comes from _power_columns: a table
+    of the first 4096 powers, built by doubling once, and binary powering
+    from there on, so the cost does not grow with t_max / T.  An undriven
+    run needs no steps: sample k is exp(A0*dt_out)^k (s0, 1).
+
+    Each block computes its phases, their Phi(tau) and its powers anew,
+    with the matrix-exponential scaling of the whole run (_expm_scaling),
+    so its samples have the bits of one whole-run computation and the
+    memory is that of one block, whatever the number of samples.  Before
+    it returns, one pass over all blocks checks |s|: a sample with |s| >
+    1 + 100*tol raises IntegrationDivergedError, with the largest |s| of
+    the run, and the blocks then repeat that pass.
 
     s0 is a Bloch vector of shape (3,) with |s0| <= 1.  The full
     time-dependent coherent block is kept (no rotating frame),
     so the high-frequency approximation enters only through Gamma_eff.
-    A sample with |s| > 1 + 100*tol raises IntegrationDivergedError.
     """
     s0 = np.asarray(s0, dtype=float)
     if s0.shape != (3,):
@@ -391,46 +475,136 @@ def evolve(bath: BathSpec, drive: Drive, s0, t_max: float, dt_out: float,
         raise ValueError("tol must lie in [1e-12, 1e-4]")
 
     gamma_eff, a0, a1 = _generator(bath, drive)
+    # the length of np.arange(0, t_max + dt_out/2, dt_out), whose sample
+    # k is k*dt_out, less the samples past t_max
+    length = (t_max + 0.5 * dt_out) / dt_out
+    if not length <= np.iinfo(np.intp).max // 8:
+        raise ValueError(f"t_max / dt_out = {t_max / dt_out:.3g}: more "
+                         "samples than an array can hold")
+    count = math.ceil(length)
+    while (count - 1) * dt_out > t_max:
+        count -= 1
+    # a last sample alone joins the block before it: numpy would hand a
+    # block of one sample to other kernels (gemv, and an einsum that sums
+    # in another order), whose bits differ
+    starts = range(0, max(count - 1, 1), _BLOCK_SAMPLES)
 
-    t_eval = np.arange(0.0, t_max + 0.5 * dt_out, dt_out)
-    t_eval = t_eval[t_eval <= t_max]
+    def samples(start):
+        end = start + _BLOCK_SAMPLES
+        return np.arange(start, count if count - end <= 1 else end)
+
     v0 = np.append(s0, 1.0)
     driven = a1.any()
     substeps = period_error = None
     if not driven:
         step = _expm(a0 * dt_out)
-        s = _powers(step, np.arange(len(t_eval)), v0)[:3].T
+        powers = _power_columns(step, v0, count - 1)
+
+        def states(start):
+            return powers(samples(start))[:3].T
     else:
         omega, period = drive.omega, drive.period
         span = min(period, t_max)
-        n = np.floor(t_eval / period).astype(np.int64)
-        # t - n*T may round a hair outside [0, span]
-        tau = np.clip(t_eval - n * period, 0.0, span)
         basis = _commutators(a0, a1)
         levels, period_error = _one_period(basis, omega, span,
                                            math.ceil(t_max / period), tol)
         substeps = len(levels[0])
         h = span / substeps
-        phases, which = np.unique(tau, return_inverse=True)
-        m = np.minimum(np.floor(phases / h).astype(np.int64), substeps)
-        phi = (_expm(_magnus_exponents(basis, omega, m * h, phases - m * h))
-               @ _prefix_products(levels, m))
         step = levels[-1][0]
-        v = _powers(step, n, v0)
-        s = np.einsum("kij,jk->ki", phi[which, :3], v)
-    norms = np.linalg.norm(s, axis=1)
-    if np.any(norms > 1.0 + 100.0 * tol):
+        n_max = math.floor((count - 1) * dt_out / period)
+        powers = _power_columns(step, v0, n_max)
+
+        def periods(t):
+            return np.floor(t / period).astype(np.int64)
+
+        def partial_steps(start):
+            """The block's powers n, and for each of its phases the steps
+            m below it and the exponent of the partial step after them;
+            which maps the samples to the phases."""
+            t = samples(start) * dt_out
+            n = periods(t)
+            # t - n*T may round a hair outside [0, span]
+            tau = np.clip(t - n * period, 0.0, span)
+            phases, which = np.unique(tau, return_inverse=True)
+            if len(phases) == 1:
+                # one row would go to gemv in _magnus_exponents, which
+                # sums in another order than gemm: two copies keep gemm
+                phases = np.repeat(phases, 2)
+            m = np.minimum(np.floor(phases / h).astype(np.int64), substeps)
+            return n, which, m, _magnus_exponents(basis, omega, m * h,
+                                                  phases - m * h)
+
+        # one block scales its own stack: it is the whole run's
+        scaling = (_expm_scaling(lambda: (partial_steps(start)[3]
+                                          for start in starts))
+                   if len(starts) > 1 else None)
+        # einsum sums the four products of an entry of s in an order that
+        # the memory layout of the powers sets.  They are column-major
+        # where all lie below 2^ceil(log2(count)) and are not 0, 1, ...,
+        # count - 1, as one table of min(n_max + 1, 2^ceil(log2(count)))
+        # powers for the whole run gave them, so that s keeps the bits of
+        # that whole-run computation
+        consecutive = n_max == count - 1 and all(
+            np.array_equal(periods(samples(start) * dt_out), samples(start))
+            for start in starts)
+        column_major = (n_max < 1 << (count - 1).bit_length()
+                        and not consecutive)
+
+        def states(start):
+            n, which, m, exponents = partial_steps(start)
+            # a block of dense samples holds each step count many times;
+            # m ascends with the phases
+            new = np.empty(len(m), dtype=bool)
+            new[0] = True
+            np.not_equal(m[1:], m[:-1], out=new[1:])
+            counts, at = m[new], np.cumsum(new) - 1
+            phi = (_expm(exponents, scaling)
+                   @ _prefix_products(levels, counts)[at])
+            v = powers(n)
+            if column_major:
+                v = np.asfortranarray(v)
+            return np.einsum("kij,jk->ki", phi[which, :3], v)
+
+    bound = 1.0 + 100.0 * tol
+    # the first block is kept: a run of one block is computed once
+    first = states(0)
+    peak, over = 0.0, False
+    for s in (first if start == 0 else states(start) for start in starts):
+        norms = np.linalg.norm(s, axis=1)
+        over = over or bool((norms > bound).any())
+        peak = np.maximum(peak, norms.max())
+    if over:
         # a run shorter than one period never iterates Phi(t_max)
         cause = (_outside_fixed_point(step, gamma_eff, a0[2, 3])
                  if not driven or t_max >= drive.period else "")
         raise IntegrationDivergedError(
-            f"|s| reached 1 + {norms.max() - 1.0:.3e}, beyond the physical "
+            f"|s| reached 1 + {peak - 1.0:.3e}, beyond the physical "
             f"bound 1 + {100.0 * tol:.3e}{cause}")
 
-    entropy = 0.5 * (1.0 - np.einsum("ij,ij->i", s, s))
-    return Trajectory(t_eval, s, entropy,
-                      _entropy_rate(s, gamma_eff, a0[2, 3]),
-                      substeps, period_error)
+    def blocks():
+        for start in starts:
+            s = first if start == 0 else states(start)
+            entropy = 0.5 * (1.0 - np.einsum("ij,ij->i", s, s))
+            yield Trajectory(samples(start) * dt_out, s, entropy,
+                             _entropy_rate(s, gamma_eff, a0[2, 3]),
+                             substeps, period_error)
+    return blocks()
+
+
+def evolve(bath: BathSpec, drive: Drive, s0, t_max: float, dt_out: float,
+           tol: float = 1e-9) -> Trajectory:
+    """Sample the Bloch trajectory every dt_out through the one-period map:
+    the blocks of evolve_blocks joined into whole arrays.
+
+    Times are k*dt_out for k = 0, 1, ... up to t_max.  A sample with
+    |s| > 1 + 100*tol raises IntegrationDivergedError; see evolve_blocks
+    for the method.
+    """
+    blocks = list(evolve_blocks(bath, drive, s0, t_max, dt_out, tol))
+    return Trajectory(
+        *(np.concatenate([getattr(b, name) for b in blocks])
+          for name in ("t", "s", "entropy", "entropy_rate")),
+        blocks[0].substeps, blocks[0].period_error)
 
 
 def steady_state(bath: BathSpec) -> np.ndarray:

@@ -116,3 +116,19 @@ def floquet_reference(kind, amp_ratio, omega, gamma, alpha, s0, times, tol):
         powers.append(phi[-1] @ powers[-1])
     return np.einsum("kij,kj->ki", phi[np.searchsorted(phases, tau), :3],
                      np.array(powers)[n])
+
+
+def binary_power(step, v0, k):
+    """step^k @ v0 by plain binary powering: for each set bit j of k,
+    lowest first, v <- step^(2^j) @ v, the squares by repeated squaring.
+    Each product is taken on two copies of v, a (4, 2) matrix, so that
+    numpy hands it to gemm, as it does a block of many columns, and not
+    to gemv."""
+    v = np.asarray(v0, dtype=float)
+    square = np.asarray(step, dtype=float)
+    while k:
+        if k & 1:
+            v = (square @ np.column_stack([v, v]))[:, 0]
+        square = square @ square
+        k >>= 1
+    return v

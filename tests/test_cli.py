@@ -1,6 +1,8 @@
 import io
 import math
+import os
 import re
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -430,7 +432,8 @@ class TestEvolve:
         assert "config key 's0'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [["--dt-out", "0"], ["--dt-out", "-1"],
-                                       ["--s0=nan,0,0"]])
+                                       ["--s0=nan,0,0"],
+                                       ["--dt-out", "1e-300"]])
     def test_bad_sampling_is_usage_error(self, tmp_path, capsys, flags):
         out = tmp_path / "traj.csv"
         assert main(["evolve", "--t-max", "5", *flags, "--out", str(out)]) \
@@ -730,6 +733,47 @@ def test_writer_memory_stays_one_block(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2 << 20
+
+
+def _evolve_peak(path, rows):
+    """The tracemalloc peak of an undriven evolve of rows samples at
+    dt = 1/256, written to path."""
+    argv = ["evolve", "--t-max", repr((rows - 1) / 256), "--dt-out",
+            "0.00390625", "--out", str(path)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_evolve_memory_does_not_grow_with_rows(tmp_path):
+    # the rows are computed and written one block at a time: 70,001 rows
+    # (3.4 MB of floats) and four times as many peak at the same block's
+    # temporaries
+    _evolve_peak(tmp_path / "warm-up.csv", 3)  # the parser, built once
+    peak = _evolve_peak(tmp_path / "short.csv", 70_001)
+    assert peak < 2 << 20
+    assert _evolve_peak(tmp_path / "long.csv", 280_001) <= 1.1 * peak
+    with open(tmp_path / "long.csv") as fh:
+        assert sum(1 for _ in fh) > 280_001
+
+
+def test_reader_that_stops_is_not_an_error():
+    # '| head -1': the pipe closes while 20,001 rows (1.8 MB, more than a
+    # pipe holds) are being written
+    src = Path(cli.__file__).parents[1]
+    with subprocess.Popen(
+            [sys.executable, "-m", "drivenqubit.cli", "evolve", "--t-max",
+             "200", "--dt-out", "0.01", "--out", "-"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(src))) as proc:
+        assert proc.stdout.readline().startswith(b"# drivenqubit ")
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
 
 
 def _bits_to_float(bits):

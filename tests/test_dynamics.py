@@ -4,7 +4,8 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
-from _oracles import bloch_reference, expm_series, floquet_reference
+from _oracles import (binary_power, bloch_reference, expm_series,
+                      floquet_reference)
 from scipy import linalg
 
 from drivenqubit import dynamics
@@ -459,6 +460,76 @@ class TestPowers:
         assert peak < 10e6
 
 
+class TestBlocks:
+    """evolve_blocks: the samples _BLOCK_SAMPLES at a time, with the bits
+    of whole-run arithmetic."""
+
+    S0 = (0.3, -0.4, 0.5)
+    EDGES = (0, 1, 1023, 1024, 1025, 2048, 3072, 4095, 4096, 4097, 5120,
+             8192, 70_000)
+
+    @pytest.mark.parametrize("count", [1, 1023, 1024, 1025, 2049, 3073,
+                                       4097, 70_001])
+    @pytest.mark.parametrize("dt", [1 / 256, 0.37, 3.1])
+    def test_undriven_samples_are_binary_powers(self, dt, count):
+        # sample k is step^k (s0, 1) to the bit, on both sides of every
+        # block edge and table edge
+        bath = make_bath(temperature=0.5)
+        traj = evolve(bath, Drive(), self.S0, (count - 1) * dt + 0.5 * dt,
+                      dt)
+        assert len(traj) == count
+        _, a0, _ = dynamics._generator(bath, Drive())
+        step = dynamics._expm(a0 * dt)
+        v0 = np.append(self.S0, 1.0)
+        for k in self.EDGES:
+            if k < count:
+                want = binary_power(step, v0, k)[:3]
+                assert traj.s[k].tobytes() == want.tobytes(), k
+
+    @pytest.mark.parametrize("count", [1, 2, 4097, 5121, 12_289])
+    @pytest.mark.parametrize("dt", [1 / 256, 0.37])
+    @pytest.mark.parametrize("past", [0.25, 0.75])
+    def test_blocks_of_4096_samples_at_arange_times(self, past, dt, count):
+        # a last sample alone joins the block before it; the times are
+        # those of np.arange(0, t_max + dt/2, dt) up to t_max, which past
+        # = 0.75 ends one sample beyond t_max
+        t_max = (count - 1 + past) * dt
+        blocks = list(dynamics.evolve_blocks(make_bath(), Drive(), self.S0,
+                                             t_max, dt))
+        sizes = [len(b) for b in blocks]
+        assert all(size == dynamics._BLOCK_SAMPLES for size in sizes[:-1])
+        assert 2 <= sizes[-1] <= dynamics._BLOCK_SAMPLES + 1 or count == 1
+        expected = np.arange(0.0, t_max + 0.5 * dt, dt)
+        assert np.concatenate([b.t for b in blocks]).tobytes() \
+            == expected[expected <= t_max].tobytes()
+        assert sum(sizes) == count
+
+    @pytest.mark.parametrize("kind", ["dd", "cdt"])
+    def test_dense_driven_blocks_match_reference(self, kind):
+        # 12,290 samples, dt_out < T and incommensurate with it: four
+        # blocks, over 1684 periods
+        bath = make_bath()
+        d = Drive(kind, 2.4, 100.0)
+        dt_out = d.period / 7.3
+        tol = 1e-10
+        blocks = list(dynamics.evolve_blocks(bath, d, self.S0,
+                                             12_289.5 * dt_out, dt_out,
+                                             tol=tol))
+        assert len(blocks) == 4
+        t = np.concatenate([b.t for b in blocks])
+        s = np.concatenate([b.s for b in blocks])
+        want = _map_reference(bath, d, self.S0, t, 3e-13)
+        assert np.max(np.abs(s - want)) <= 10 * tol
+
+    def test_divergence_is_raised_before_any_block(self):
+        # the run of test_divergence_names_fixed_point_outside_ball over
+        # three blocks: the call itself raises, before any block is made
+        bath = make_bath(temperature=0.1)
+        d = Drive("dd", 2.4048, 5000.0)
+        with pytest.raises(IntegrationDivergedError, match=r"reached 1 \+ "):
+            dynamics.evolve_blocks(bath, d, (0.0, 0.0, 0.0), 100.0, 0.01)
+
+
 class TestExpm:
 
     @pytest.mark.parametrize("temperature", [0.1, 0.5, 10.0])
@@ -480,6 +551,21 @@ class TestExpm:
         n = np.array([70_000])
         assert np.max(np.abs(dynamics._powers(step, n, v0)
                              - dynamics._powers(rounded, n, v0))) <= 1e-13
+
+    def test_parts_scaled_as_the_whole_stack_get_its_bits(self):
+        # 1-norms from 1e-3 to about 160: the whole stack takes s = 9 and
+        # carries E through fewer squarings than its small matrices alone
+        # would, so a part keeps the whole's bits only with its scaling
+        rng = np.random.default_rng(3)
+        a = (rng.normal(size=(64, 4, 4))
+             * np.geomspace(1e-3, 30.0, 64)[:, None, None])
+        parts = [a[:5], a[5:40], a[40:]]
+        scaling = dynamics._expm_scaling(lambda: iter(parts))
+        whole = dynamics._expm(a)
+        assert np.concatenate([dynamics._expm(part, scaling)
+                               for part in parts]).tobytes() \
+            == whole.tobytes()
+        assert dynamics._expm(parts[0]).tobytes() != whole[:5].tobytes()
 
     def test_zero_and_scalar_cases(self):
         assert np.array_equal(dynamics._expm(np.zeros((4, 4))), np.eye(4))
