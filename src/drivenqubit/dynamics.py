@@ -14,10 +14,10 @@ sixth-order Magnus steps, each the matrix exponential (_expm) of a
 closed-form exponent from A at three Gauss points, with as many steps as
 the whole run's error budget tol needs, or as the rounding of the step
 product allows; an undriven run takes powers of one exponential.  The powers
-come from one table of the first 4096, built by doubling, and the squares
-of the higher bits (_power_columns).  evolve_blocks computes the samples
-4096 at a time, so a long dense trajectory streams in the memory of one
-block; evolve joins the blocks into whole arrays.  The package runs on
+come from one table built by doubling and the squares of the higher bits
+(_power_columns).  evolve computes all samples at once; evolve_blocks
+computes the same samples 4096 at a time, so that an undriven trajectory
+of any length streams in the memory of one block.  The package runs on
 numpy alone.
 
 evolve calls no ODE solver.  dynamics.solve_ivp (scipy's) stays a module
@@ -57,9 +57,10 @@ class NoSteadyStateError(ValueError):
 
 
 # samples evolve_blocks computes at a time.  A block's temporaries do not
-# grow with the sample count (a 70,001-row CLI evolve and a 280,001-row
-# one both peak at 1.5 MiB of tracemalloc); with blocks of 1024 the numpy
-# calls made per block took a 70,001-row evolve ~20 % longer
+# grow with the sample count: a 70,001-row CLI evolve and a 280,001-row
+# one both peak at 1.4 MiB of tracemalloc (2.0 MiB with blocks of 8192).
+# With blocks of 1024 the numpy calls made per block took the benchmark's
+# dense_output pass ~20 % longer than with 4096
 _BLOCK_SAMPLES = 4096
 
 
@@ -123,69 +124,32 @@ _EXPM_NORM = 0.5
 _EXPM_TERMS = 14
 
 
-def _expm_power(a: np.ndarray) -> int:
-    """The smallest s >= 0 with 1-norm(a)/2^s <= _EXPM_NORM; a stack
-    takes the largest 1-norm of its matrices."""
-    norm = float(np.abs(a).sum(axis=-2).max())
-    return max(0, math.ceil(math.log2(norm / _EXPM_NORM))) if norm else 0
-
-
-def _expm_series(a: np.ndarray, s: int, eye: np.ndarray) -> np.ndarray:
-    """E = e^b - I for b = a/2^s, b(I + b/2(I + b/3(...))) by Horner's
-    rule; eye is the identity of a's size."""
-    b = a / 2.0 ** s
-    e = np.zeros_like(b)
-    for k in range(_EXPM_TERMS, 0, -1):
-        e = b @ (eye + e) / k
-    return e
-
-
-def _carry(e: np.ndarray, limit: int):
-    """Square I + E as I + (2E + E^2) while no entry of E exceeds 1/2, at
-    most limit times; the last E and the number of squarings."""
-    count = 0
-    while count < limit and np.abs(e).max() <= 0.5:
-        e = 2.0 * e + e @ e
-        count += 1
-    return e, count
-
-
-def _expm(a: np.ndarray, scaling=None) -> np.ndarray:
+def _expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential e^a by a Taylor series with scaling and squaring.
 
     a is one square matrix or a stack of them, shape (..., n, n); a stack
     shares the scaling of its largest 1-norm.  b = a/2^s has 1-norm <= 1/2,
-    and E = e^b - I is summed by Horner's rule (_expm_series).  The
-    squarings carry E itself, as (I + E)^2 = I + (2E + E^2), so the
+    and E = e^b - I = b(I + b/2(I + b/3(...))) is summed by Horner's rule.
+    The squarings carry E itself, as (I + E)^2 = I + (2E + E^2), so the
     low bits of e^b next to the identity are not rounded away; once an
     entry of E reaches 1/2, e^b is no longer near I and the remaining
     squarings act on I + E, which keeps entries that decay toward 0 from
-    rounding against 1.  scaling = (s, c), from _expm_scaling, gives a
-    the scaling of a larger stack it is part of: every matrix then gets
-    the bits of one call on that whole stack.
+    rounding against 1.
     """
-    s, limit = scaling or (_expm_power(a),) * 2
+    norm = float(np.abs(a).sum(axis=-2).max())
+    s = max(0, math.ceil(math.log2(norm / _EXPM_NORM))) if norm else 0
+    b = a / 2.0 ** s
     eye = np.eye(a.shape[-1])
-    e, carried = _carry(_expm_series(a, s, eye), limit)
+    e = np.zeros_like(b)
+    for k in range(_EXPM_TERMS, 0, -1):
+        e = b @ (eye + e) / k
+    while s and np.abs(e).max() <= 0.5:
+        e = 2.0 * e + e @ e
+        s -= 1
     m = eye + e
-    for _ in range(s - carried):
+    for _ in range(s):
         m = m @ m
     return m
-
-
-def _expm_scaling(parts) -> tuple:
-    """The scaling (s, c) that _expm gives the stacks of parts() joined
-    into one; parts makes a new iterable on each call.
-
-    s comes from the largest 1-norm of all parts.  A stack carries E
-    through its squarings until an entry of any of its matrices passes
-    1/2, so the whole carries it c times, the fewest of any part.
-    """
-    s = max(map(_expm_power, parts()))
-    if not s:
-        return 0, 0
-    return s, min(_carry(_expm_series(a, s, np.eye(a.shape[-1])), s)[1]
-                  for a in parts())
 
 
 # the first Magnus step count has h*(|A0|_1 + |A1|_1) <= _MAGNUS_NORM.
@@ -345,62 +309,73 @@ def _gemm(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return a @ v
 
 
-# a power n is the table column of its low _LOW_BITS bits times the
-# squares of its higher bits: one block of samples, one table
-_LOW_BITS = _BLOCK_SAMPLES.bit_length() - 1
+def _power_columns(step: np.ndarray, v0: np.ndarray, n_max: int,
+                   width: int):
+    """columns(n): step^n[k] @ v0 for nondecreasing n <= n_max, an
+    array or a range, shape (4, len(n)), for blocks n of about width
+    samples.
 
-
-def _power_columns(step: np.ndarray, v0: np.ndarray, n_max: int):
-    """columns(n): step^n[k] @ v0 for nondecreasing n <= n_max, shape
-    (4, len(n)).
-
-    The table of the powers below min(n_max + 1, 2^_LOW_BITS) is built
-    once, by doubling: with m = 2^j, its columns m .. 2m-1 are step^m @
-    columns 0 .. m-1, one matmul per j.  columns(n) takes the table column
-    of the low bits of each n, then the squares step^(2^j) of its high
-    bits, lowest first: one matmul per set bit where every n shares it
-    (all of an undriven block), masked by np.where where only some do.
-    Either way a column takes the squares of the set bits of its n, lowest
-    first, as plain binary powering would, each product through gemm.
-    The memory is that of one table and of len(n) columns, not of n_max:
-    a driven run sampled less than once per period reaches n ~ 1e8.
+    The powers below min(n_max + 1, m), with m the smallest power of two
+    >= width, make one table, built once by doubling: with k = 2^j, its
+    columns k .. 2k-1 are step^k @ columns 0 .. k-1, one matmul per j.
+    columns(n) takes the table columns of the low bits n mod m (a slice
+    for a range within one span of m, as the samples of an undriven block
+    are), then the squares step^(2^j) of the high bits, lowest
+    first: one matmul per set bit where every n shares it, masked by
+    np.where where only some do.  Either way a column takes the squares of
+    the set bits of its n, lowest first, as plain binary powering would,
+    each product through gemm, so it has the same bits in a table of any
+    size.  For range(n_max + 1) below m the table is the result.  The
+    memory is that of one table and of len(n) columns, not of n_max: a
+    driven run sampled less than once per period reaches n ~ 1e8.
     """
-    size = min(n_max + 1, 1 << _LOW_BITS)
+    m = 1 << (width - 1).bit_length()
+    size = min(n_max + 1, m)
     table = np.empty((len(v0), size))
     table[:, 0] = v0
     squares = [step]
-    m = 1
-    while m < size:
-        width = min(m, size - m)
-        table[:, m:m + width] = _gemm(squares[-1], table[:, :width])
+    k = 1
+    while k < size:
+        span = min(k, size - k)
+        if span > 1:
+            np.matmul(squares[-1], table[:, :span], out=table[:, k:k + span])
+        else:
+            table[:, k:k + 1] = _gemm(squares[-1], table[:, :1])
         squares.append(squares[-1] @ squares[-1])
-        m *= 2
+        k *= 2
     while len(squares) < n_max.bit_length():
         squares.append(squares[-1] @ squares[-1])
+    shift = m.bit_length() - 1
 
-    def columns(n: np.ndarray) -> np.ndarray:
-        v = table.take(n & ((1 << _LOW_BITS) - 1), axis=1)
-        bits = int(n[0]) >> _LOW_BITS
-        if bits == int(n[-1]) >> _LOW_BITS:
-            for square in squares[_LOW_BITS:_LOW_BITS + bits.bit_length()]:
-                if bits & 1:
-                    v = _gemm(square, v)
-                bits >>= 1
+    def columns(n) -> np.ndarray:
+        first, last = int(n[0]), int(n[-1])
+        bits = first >> shift
+        if bits != last >> shift:
+            n = np.arange(n.start, n.stop) if isinstance(n, range) else n
+            v = table.take(n & (m - 1), axis=1)
+            high = n >> shift
+            for square in squares[shift:]:
+                if not high.any():
+                    break
+                v = np.where(high & 1, _gemm(square, v), v)
+                high = high >> 1
             return v
-        high = n >> _LOW_BITS
-        for square in squares[_LOW_BITS:]:
-            if not high.any():
-                break
-            v = np.where(high & 1, _gemm(square, v), v)
-            high = high >> 1
+        if isinstance(n, range):
+            v = table[:, first & (m - 1):(last & (m - 1)) + 1]
+        else:
+            v = table.take(n & (m - 1), axis=1)
+        for square in squares[shift:shift + bits.bit_length()]:
+            if bits & 1:
+                v = _gemm(square, v)
+            bits >>= 1
         return v
     return columns
 
 
 def _powers(step: np.ndarray, n: np.ndarray, v0: np.ndarray) -> np.ndarray:
-    """Columns step^n[k] @ v0, shape (4, len(n)), for nondecreasing n, in
-    one call of _power_columns."""
-    return _power_columns(step, v0, int(n[-1]))(n)
+    """Columns step^n[k] @ v0, shape (4, len(n)), for nondecreasing n: one
+    block of _power_columns."""
+    return _power_columns(step, v0, int(n[-1]), len(n))(n)
 
 
 def _outside_fixed_point(step: np.ndarray, gamma_eff: float,
@@ -424,11 +399,9 @@ def _outside_fixed_point(step: np.ndarray, gamma_eff: float,
             f"too weak for the inhomogeneity |b| = {abs(b_z):.3e}")
 
 
-def evolve_blocks(bath: BathSpec, drive: Drive, s0, t_max: float,
-                  dt_out: float, tol: float = 1e-9):
-    """The samples of evolve, _BLOCK_SAMPLES at a time (a lone last sample
-    joins the block before it): an iterator of Trajectory blocks, each
-    with the run's substeps and period_error.
+def evolve(bath: BathSpec, drive: Drive, s0, t_max: float, dt_out: float,
+           tol: float = 1e-9) -> Trajectory:
+    """Sample the Bloch trajectory every dt_out through the one-period map.
 
     In augmented form d/dt (s, 1) = A(t) (s, 1) with A(t) = A0 +
     cos(Omega t) A1.  A is periodic with the drive period T = 2*pi/Omega,
@@ -440,24 +413,46 @@ def evolve_blocks(bath: BathSpec, drive: Drive, s0, t_max: float,
     steps times one sixth-order partial step.  N is the smallest power of
     two at which ceil(t_max/T) times the one-period error estimate is
     <= tol, unless the rounding of the step product stops it first (see
-    _one_period); the blocks record N (substeps) and the estimate
+    _one_period); the result records N (substeps) and the estimate
     (period_error).  Phi(T)^n (s0, 1) comes from _power_columns: a table
-    of the first 4096 powers, built by doubling once, and binary powering
-    from there on, so the cost does not grow with t_max / T.  An undriven
-    run needs no steps: sample k is exp(A0*dt_out)^k (s0, 1).
-
-    Each block computes its phases, their Phi(tau) and its powers anew,
-    with the matrix-exponential scaling of the whole run (_expm_scaling),
-    so its samples have the bits of one whole-run computation and the
-    memory is that of one block, whatever the number of samples.  Before
-    it returns, one pass over all blocks checks |s|: a sample with |s| >
-    1 + 100*tol raises IntegrationDivergedError, with the largest |s| of
-    the run, and the blocks then repeat that pass.
+    of the powers below the sample count, built by doubling, and binary
+    powering from there on, so the cost does not grow with t_max / T.  An
+    undriven run needs no steps: sample k is exp(A0*dt_out)^k (s0, 1),
+    the table itself.  Sample k is at time k*dt_out, up to t_max.
 
     s0 is a Bloch vector of shape (3,) with |s0| <= 1.  The full
     time-dependent coherent block is kept (no rotating frame),
     so the high-frequency approximation enters only through Gamma_eff.
+    A sample with |s| > 1 + 100*tol raises IntegrationDivergedError.
     """
+    (trajectory,) = _sample_blocks(bath, drive, s0, t_max, dt_out, tol,
+                                   None)
+    return trajectory
+
+
+def evolve_blocks(bath: BathSpec, drive: Drive, s0, t_max: float,
+                  dt_out: float, tol: float = 1e-9):
+    """The samples of evolve, _BLOCK_SAMPLES at a time: an iterator of
+    Trajectory blocks, each with the run's substeps and period_error.
+
+    The blocks have the bits of evolve's whole arrays.  The powers come
+    from a table of _BLOCK_SAMPLES columns, so an undriven run of any
+    length takes the memory of one block.  A driven run also keeps the
+    Phi(tau) of the whole run, one 4x4 matrix per distinct phase of the
+    samples, and each sample's power and phase index.  Before
+    it returns, one pass over all blocks checks |s|, so that a diverging
+    run raises IntegrationDivergedError, with the largest |s| of the run,
+    before any block is made; the blocks then compute their samples
+    again.
+    """
+    return _sample_blocks(bath, drive, s0, t_max, dt_out, tol,
+                          _BLOCK_SAMPLES)
+
+
+def _sample_blocks(bath, drive, s0, t_max, dt_out, tol, width):
+    """evolve's samples as an iterator of Trajectory blocks of width
+    samples (None: one block of all); a lone last sample joins the block
+    before it."""
     s0 = np.asarray(s0, dtype=float)
     if s0.shape != (3,):
         raise ValueError(f"s0 must be a Bloch vector of shape (3,), got "
@@ -484,94 +479,64 @@ def evolve_blocks(bath: BathSpec, drive: Drive, s0, t_max: float,
     count = math.ceil(length)
     while (count - 1) * dt_out > t_max:
         count -= 1
+    width = width or count
     # a last sample alone joins the block before it: numpy would hand a
     # block of one sample to other kernels (gemv, and an einsum that sums
     # in another order), whose bits differ
-    starts = range(0, max(count - 1, 1), _BLOCK_SAMPLES)
-
-    def samples(start):
-        end = start + _BLOCK_SAMPLES
-        return np.arange(start, count if count - end <= 1 else end)
+    bounds = [(start, count if count - start - width <= 1 else start + width)
+              for start in range(0, max(count - 1, 1), width)]
 
     v0 = np.append(s0, 1.0)
     driven = a1.any()
     substeps = period_error = None
     if not driven:
         step = _expm(a0 * dt_out)
-        powers = _power_columns(step, v0, count - 1)
+        powers = _power_columns(step, v0, count - 1, width)
 
-        def states(start):
-            return powers(samples(start))[:3].T
+        def states(start, stop):
+            return powers(range(start, stop))[:3].T
     else:
         omega, period = drive.omega, drive.period
         span = min(period, t_max)
+        t = np.arange(count) * dt_out
+        n = np.floor(t / period).astype(np.int64)
+        # t - n*T may round a hair outside [0, span]
+        tau = np.clip(t - n * period, 0.0, span)
         basis = _commutators(a0, a1)
         levels, period_error = _one_period(basis, omega, span,
                                            math.ceil(t_max / period), tol)
         substeps = len(levels[0])
         h = span / substeps
+        phases, which = np.unique(tau, return_inverse=True)
+        m = np.minimum(np.floor(phases / h).astype(np.int64), substeps)
+        phi = (_expm(_magnus_exponents(basis, omega, m * h, phases - m * h))
+               @ _prefix_products(levels, m))
         step = levels[-1][0]
-        n_max = math.floor((count - 1) * dt_out / period)
-        powers = _power_columns(step, v0, n_max)
-
-        def periods(t):
-            return np.floor(t / period).astype(np.int64)
-
-        def partial_steps(start):
-            """The block's powers n, and for each of its phases the steps
-            m below it and the exponent of the partial step after them;
-            which maps the samples to the phases."""
-            t = samples(start) * dt_out
-            n = periods(t)
-            # t - n*T may round a hair outside [0, span]
-            tau = np.clip(t - n * period, 0.0, span)
-            phases, which = np.unique(tau, return_inverse=True)
-            if len(phases) == 1:
-                # one row would go to gemv in _magnus_exponents, which
-                # sums in another order than gemm: two copies keep gemm
-                phases = np.repeat(phases, 2)
-            m = np.minimum(np.floor(phases / h).astype(np.int64), substeps)
-            return n, which, m, _magnus_exponents(basis, omega, m * h,
-                                                  phases - m * h)
-
-        # one block scales its own stack: it is the whole run's
-        scaling = (_expm_scaling(lambda: (partial_steps(start)[3]
-                                          for start in starts))
-                   if len(starts) > 1 else None)
+        powers = _power_columns(step, v0, int(n[-1]), width)
         # einsum sums the four products of an entry of s in an order that
-        # the memory layout of the powers sets.  They are column-major
-        # where all lie below 2^ceil(log2(count)) and are not 0, 1, ...,
-        # count - 1, as one table of min(n_max + 1, 2^ceil(log2(count)))
-        # powers for the whole run gave them, so that s keeps the bits of
-        # that whole-run computation
-        consecutive = n_max == count - 1 and all(
-            np.array_equal(periods(samples(start) * dt_out), samples(start))
-            for start in starts)
-        column_major = (n_max < 1 << (count - 1).bit_length()
-                        and not consecutive)
+        # the memory layout of the powers sets.  Taken for all samples at
+        # once they are row-major where they are the doubling table itself
+        # (n = 0, 1, ..., count - 1) or need high bits (np.where), and
+        # column-major where they are gathered from the table alone; each
+        # block takes that layout, so that its samples keep those bits
+        column_major = (n[-1] < 1 << (count - 1).bit_length()
+                        and not (n[-1] == count - 1
+                                 and (n[1:] > n[:-1]).all()))
 
-        def states(start):
-            n, which, m, exponents = partial_steps(start)
-            # a block of dense samples holds each step count many times;
-            # m ascends with the phases
-            new = np.empty(len(m), dtype=bool)
-            new[0] = True
-            np.not_equal(m[1:], m[:-1], out=new[1:])
-            counts, at = m[new], np.cumsum(new) - 1
-            phi = (_expm(exponents, scaling)
-                   @ _prefix_products(levels, counts)[at])
-            v = powers(n)
+        def states(start, stop):
+            v = powers(n[start:stop])
             if column_major:
                 v = np.asfortranarray(v)
-            return np.einsum("kij,jk->ki", phi[which, :3], v)
+            return np.einsum("kij,jk->ki", phi[which[start:stop], :3], v)
 
-    bound = 1.0 + 100.0 * tol
     # the first block is kept: a run of one block is computed once
-    first = states(0)
+    first = states(*bounds[0])
     peak, over = 0.0, False
-    for s in (first if start == 0 else states(start) for start in starts):
-        norms = np.linalg.norm(s, axis=1)
-        over = over or bool((norms > bound).any())
+    for start, stop in bounds:
+        s = first if start == 0 else states(start, stop)
+        # np.linalg.norm(s, axis=1), without its copies
+        norms = np.sqrt(np.add.reduce(s * s, axis=1))
+        over = over or bool((norms > 1.0 + 100.0 * tol).any())
         peak = np.maximum(peak, norms.max())
     if over:
         # a run shorter than one period never iterates Phi(t_max)
@@ -582,29 +547,13 @@ def evolve_blocks(bath: BathSpec, drive: Drive, s0, t_max: float,
             f"bound 1 + {100.0 * tol:.3e}{cause}")
 
     def blocks():
-        for start in starts:
-            s = first if start == 0 else states(start)
+        for start, stop in bounds:
+            s = first if start == 0 else states(start, stop)
             entropy = 0.5 * (1.0 - np.einsum("ij,ij->i", s, s))
-            yield Trajectory(samples(start) * dt_out, s, entropy,
+            yield Trajectory(np.arange(start, stop) * dt_out, s, entropy,
                              _entropy_rate(s, gamma_eff, a0[2, 3]),
                              substeps, period_error)
     return blocks()
-
-
-def evolve(bath: BathSpec, drive: Drive, s0, t_max: float, dt_out: float,
-           tol: float = 1e-9) -> Trajectory:
-    """Sample the Bloch trajectory every dt_out through the one-period map:
-    the blocks of evolve_blocks joined into whole arrays.
-
-    Times are k*dt_out for k = 0, 1, ... up to t_max.  A sample with
-    |s| > 1 + 100*tol raises IntegrationDivergedError; see evolve_blocks
-    for the method.
-    """
-    blocks = list(evolve_blocks(bath, drive, s0, t_max, dt_out, tol))
-    return Trajectory(
-        *(np.concatenate([getattr(b, name) for b in blocks])
-          for name in ("t", "s", "entropy", "entropy_rate")),
-        blocks[0].substeps, blocks[0].period_error)
 
 
 def steady_state(bath: BathSpec) -> np.ndarray:

@@ -761,16 +761,31 @@ def test_evolve_memory_does_not_grow_with_rows(tmp_path):
         assert sum(1 for _ in fh) > 280_001
 
 
+def _cli_process(*args):
+    """python -m drivenqubit.cli args, its stdout a pipe that the
+    interpreter buffers, as in a shell without PYTHONUNBUFFERED."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    return subprocess.Popen([sys.executable, "-m", "drivenqubit.cli", *args],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+
+
 def test_reader_that_stops_is_not_an_error():
     # '| head -1': the pipe closes while 20,001 rows (1.8 MB, more than a
     # pipe holds) are being written
-    src = Path(cli.__file__).parents[1]
-    with subprocess.Popen(
-            [sys.executable, "-m", "drivenqubit.cli", "evolve", "--t-max",
-             "200", "--dt-out", "0.01", "--out", "-"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            env=dict(os.environ, PYTHONPATH=str(src))) as proc:
+    with _cli_process("evolve", "--t-max", "200", "--dt-out", "0.01",
+                      "--out", "-") as proc:
         assert proc.stdout.readline().startswith(b"# drivenqubit ")
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
+
+
+def test_reader_gone_before_the_last_flush():
+    # the few lines of rates sit in stdout's buffer until main flushes
+    # it; the pipe is closed while the interpreter still starts up
+    with _cli_process("rates", "--out", "-") as proc:
         proc.stdout.close()
         assert proc.wait(timeout=60) == 141
         assert proc.stderr.read() == b""

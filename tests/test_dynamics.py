@@ -462,68 +462,99 @@ class TestPowers:
 
 class TestBlocks:
     """evolve_blocks: the samples _BLOCK_SAMPLES at a time, with the bits
-    of whole-run arithmetic."""
+    of evolve's whole arrays."""
 
     S0 = (0.3, -0.4, 0.5)
     EDGES = (0, 1, 1023, 1024, 1025, 2048, 3072, 4095, 4096, 4097, 5120,
              8192, 70_000)
+    B = dynamics._BLOCK_SAMPLES
+    FIELDS = ("t", "s", "entropy", "entropy_rate")
+
+    @classmethod
+    def joined(cls, *args, **kwargs):
+        """The blocks of evolve_blocks(*args, **kwargs), and their arrays
+        joined by field."""
+        blocks = list(dynamics.evolve_blocks(*args, **kwargs))
+        return blocks, {name: np.concatenate([getattr(b, name)
+                                              for b in blocks])
+                        for name in cls.FIELDS}
 
     @pytest.mark.parametrize("count", [1, 1023, 1024, 1025, 2049, 3073,
                                        4097, 70_001])
     @pytest.mark.parametrize("dt", [1 / 256, 0.37, 3.1])
     def test_undriven_samples_are_binary_powers(self, dt, count):
         # sample k is step^k (s0, 1) to the bit, on both sides of every
-        # block edge and table edge
+        # block edge and table edge, in evolve and in the blocks
         bath = make_bath(temperature=0.5)
-        traj = evolve(bath, Drive(), self.S0, (count - 1) * dt + 0.5 * dt,
-                      dt)
+        args = (bath, Drive(), self.S0, (count - 1) * dt + 0.5 * dt, dt)
+        traj = evolve(*args)
+        _, joined = self.joined(*args)
         assert len(traj) == count
         _, a0, _ = dynamics._generator(bath, Drive())
         step = dynamics._expm(a0 * dt)
         v0 = np.append(self.S0, 1.0)
         for k in self.EDGES:
             if k < count:
-                want = binary_power(step, v0, k)[:3]
-                assert traj.s[k].tobytes() == want.tobytes(), k
+                want = binary_power(step, v0, k)[:3].tobytes()
+                assert traj.s[k].tobytes() == want, k
+                assert joined["s"][k].tobytes() == want, k
+        for name in self.FIELDS:
+            assert joined[name].tobytes() == getattr(traj, name).tobytes()
 
-    @pytest.mark.parametrize("count", [1, 2, 4097, 5121, 12_289])
+    @pytest.mark.parametrize("count", [1, 2, B + 1, B + B // 4 + 1,
+                                       3 * B + 1])
     @pytest.mark.parametrize("dt", [1 / 256, 0.37])
     @pytest.mark.parametrize("past", [0.25, 0.75])
-    def test_blocks_of_4096_samples_at_arange_times(self, past, dt, count):
+    def test_blocks_at_arange_times(self, past, dt, count):
         # a last sample alone joins the block before it; the times are
         # those of np.arange(0, t_max + dt/2, dt) up to t_max, which past
         # = 0.75 ends one sample beyond t_max
         t_max = (count - 1 + past) * dt
-        blocks = list(dynamics.evolve_blocks(make_bath(), Drive(), self.S0,
-                                             t_max, dt))
+        blocks, joined = self.joined(make_bath(), Drive(), self.S0, t_max,
+                                     dt)
         sizes = [len(b) for b in blocks]
-        assert all(size == dynamics._BLOCK_SAMPLES for size in sizes[:-1])
-        assert 2 <= sizes[-1] <= dynamics._BLOCK_SAMPLES + 1 or count == 1
+        assert all(size == self.B for size in sizes[:-1])
+        assert 2 <= sizes[-1] <= self.B + 1 or count == 1
         expected = np.arange(0.0, t_max + 0.5 * dt, dt)
-        assert np.concatenate([b.t for b in blocks]).tobytes() \
-            == expected[expected <= t_max].tobytes()
+        assert joined["t"].tobytes() == expected[expected <= t_max].tobytes()
         assert sum(sizes) == count
 
     @pytest.mark.parametrize("kind", ["dd", "cdt"])
+    @pytest.mark.parametrize("periods", [1 / 7.3, 1.1, 11.4],
+                             ids=["dense", "gathered", "high-bits"])
+    def test_driven_blocks_have_evolve_bits(self, kind, periods):
+        # three blocks and a bit, dt_out incommensurate with T: the phases
+        # differ from sample to sample; at 1.1 T every power comes from
+        # the table alone, at 11.4 T most need the squares of high bits
+        bath = make_bath()
+        d = Drive(kind, 2.4, 100.0)
+        dt_out = periods * d.period
+        args = (bath, d, self.S0, (3 * self.B + 1.5) * dt_out, dt_out)
+        blocks, joined = self.joined(*args)
+        assert len(blocks) == 4
+        traj = evolve(*args)
+        for name in self.FIELDS:
+            assert joined[name].tobytes() == getattr(traj, name).tobytes()
+        assert {(b.substeps, b.period_error) for b in blocks} \
+            == {(traj.substeps, traj.period_error)}
+
+    @pytest.mark.parametrize("kind", ["dd", "cdt"])
     def test_dense_driven_blocks_match_reference(self, kind):
-        # 12,290 samples, dt_out < T and incommensurate with it: four
-        # blocks, over 1684 periods
+        # dt_out < T and incommensurate with it: over three blocks
         bath = make_bath()
         d = Drive(kind, 2.4, 100.0)
         dt_out = d.period / 7.3
         tol = 1e-10
-        blocks = list(dynamics.evolve_blocks(bath, d, self.S0,
-                                             12_289.5 * dt_out, dt_out,
-                                             tol=tol))
+        blocks, joined = self.joined(bath, d, self.S0,
+                                     (3 * self.B + 1.5) * dt_out, dt_out,
+                                     tol=tol)
         assert len(blocks) == 4
-        t = np.concatenate([b.t for b in blocks])
-        s = np.concatenate([b.s for b in blocks])
-        want = _map_reference(bath, d, self.S0, t, 3e-13)
-        assert np.max(np.abs(s - want)) <= 10 * tol
+        want = _map_reference(bath, d, self.S0, joined["t"], 3e-13)
+        assert np.max(np.abs(joined["s"] - want)) <= 10 * tol
 
     def test_divergence_is_raised_before_any_block(self):
         # the run of test_divergence_names_fixed_point_outside_ball over
-        # three blocks: the call itself raises, before any block is made
+        # several blocks: the call itself raises, before any block is made
         bath = make_bath(temperature=0.1)
         d = Drive("dd", 2.4048, 5000.0)
         with pytest.raises(IntegrationDivergedError, match=r"reached 1 \+ "):
@@ -551,21 +582,6 @@ class TestExpm:
         n = np.array([70_000])
         assert np.max(np.abs(dynamics._powers(step, n, v0)
                              - dynamics._powers(rounded, n, v0))) <= 1e-13
-
-    def test_parts_scaled_as_the_whole_stack_get_its_bits(self):
-        # 1-norms from 1e-3 to about 160: the whole stack takes s = 9 and
-        # carries E through fewer squarings than its small matrices alone
-        # would, so a part keeps the whole's bits only with its scaling
-        rng = np.random.default_rng(3)
-        a = (rng.normal(size=(64, 4, 4))
-             * np.geomspace(1e-3, 30.0, 64)[:, None, None])
-        parts = [a[:5], a[5:40], a[40:]]
-        scaling = dynamics._expm_scaling(lambda: iter(parts))
-        whole = dynamics._expm(a)
-        assert np.concatenate([dynamics._expm(part, scaling)
-                               for part in parts]).tobytes() \
-            == whole.tobytes()
-        assert dynamics._expm(parts[0]).tobytes() != whole[:5].tobytes()
 
     def test_zero_and_scalar_cases(self):
         assert np.array_equal(dynamics._expm(np.zeros((4, 4))), np.eye(4))
