@@ -485,7 +485,8 @@ _OPTIONS = {
     "spacing": _Option(_Choice(("linear", "log")), "linear",
                        "spacing of the sweep values"),
     "tol": _Option(float, 1e-9, "error bound of a trajectory"),
-    "s0": _Option(_floats, (1.0, 0.0, 0.0), "initial Bloch vector 'x,y,z'"),
+    "s0": _Option(_floats, (1.0, 0.0, 0.0),
+                  "initial Bloch vector 'x,y,z'; --s0=-x,y,z for x < 0"),
     "t_max": _Option(float, 100.0, "end time of a trajectory"),
     "dt_out": _Option(float, 0.1, "time between output samples"),
 }

@@ -19,7 +19,7 @@ the rate functions then evaluate the whole grid in one broadcast.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -63,6 +63,16 @@ class Drive:
     @property
     def period(self) -> float:
         return 2.0 * math.pi / self.omega
+
+
+def _one_point(caller: str, *params):
+    """ValueError naming the first array field of params (Drive or
+    BathSpec records) and its shape: caller takes one parameter point."""
+    for name, value in ((f.name, getattr(p, f.name))
+                        for p in params for f in fields(p)):
+        if np.ndim(value):
+            raise ValueError(f"{caller} takes one parameter point; {name} "
+                             f"has shape {np.shape(value)}")
 
 
 # bessel_j refuses |x| beyond this: its recurrence starts above |x|, so
@@ -251,13 +261,7 @@ def numeric_q_oracle(drive: Drive, bath: BathSpec) -> QubitOperator:
     """
     if drive.kind not in (CDT, DD):
         raise ValueError("oracle requires a driven kind")
-    for name, value in (("amp_ratio", drive.amp_ratio),
-                        ("omega", drive.omega), ("alpha", bath.alpha),
-                        ("omega_c", bath.omega_c),
-                        ("temperature", bath.temperature)):
-        if np.ndim(value):
-            raise ValueError(f"oracle takes one parameter point; {name} "
-                             f"has shape {np.shape(value)}")
+    _one_point("oracle", drive, bath)
     x = float(drive.amp_ratio)
     n_psi, n1 = (max(least, 2 ** math.ceil(math.log2(
         z + 12.0 * z ** (1.0 / 3.0) + 20.0)))

@@ -17,8 +17,8 @@ product allows; an undriven run takes powers of one exponential.  The powers
 come from one table built by doubling and the squares of the higher bits
 (_power_columns).  evolve computes all samples at once; evolve_blocks
 computes the same samples 4096 at a time, so that an undriven trajectory
-of any length streams in the memory of one block.  The package runs on
-numpy alone.
+of any length streams in the memory of one block, each sample with the
+same bits (_sample_blocks).  The package runs on numpy alone.
 
 evolve calls no ODE solver.  dynamics.solve_ivp (scipy's) stays a module
 attribute only because perfbench's tracer swaps that name to count solver
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import BathSpec, RegimeWarning
-from .driving import CDT, DD, Drive
+from .driving import CDT, DD, Drive, _one_point
 from .rates import effective_rate, rate_static
 
 
@@ -90,8 +90,9 @@ def _generator(bath: BathSpec, drive: Drive):
     undriven decay matrix M0 (precession about z at Delta = 1, damping
     Gamma_eff of s_y and s_z) and the inhomogeneity b = (0, 0, -pi*alpha);
     A1 is the drive's rotation at rate 2A = x*Omega about x (CDT) or about
-    z (DD), zero undriven.
+    z (DD), zero undriven.  An array parameter raises ValueError naming it.
     """
+    _one_point("the Bloch equation", drive, bath)
     gamma_eff = effective_rate(bath, drive)
     a0 = np.zeros((4, 4))
     # rotation about z: ds_x/dt = +s_y, ds_y/dt = -s_x
@@ -298,11 +299,12 @@ def _one_period(basis, omega, span, periods, tol):
 
 
 def _gemm(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """a @ v for columns v, shape (4, k), through gemm for every k.
+    """a @ v for columns v, shape (4, k), through gemm for every k; every
+    product of _power_columns takes it.
 
     numpy hands a single column to gemv, which sums in another order than
     gemm: two copies of it keep the rounding of gemm, so a column gets the
-    same bits in a block of any width.
+    same bits in a block of any width, one column included.
     """
     if v.shape[1] == 1:
         return (a @ v[:, [0, 0]])[:, :1]
@@ -315,9 +317,10 @@ def _power_columns(step: np.ndarray, v0: np.ndarray, n_max: int,
     array or a range, shape (4, len(n)), for blocks n of about width
     samples.
 
-    The powers below min(n_max + 1, m), with m the smallest power of two
-    >= width, make one table, built once by doubling: with k = 2^j, its
-    columns k .. 2k-1 are step^k @ columns 0 .. k-1, one matmul per j.
+    The squares step^(2^j) for the bits of n_max come first.  The powers
+    below min(n_max + 1, m), with m the smallest power of two >= width,
+    make one table, built once by doubling: with k = 2^j, its columns
+    k .. 2k-1 are step^k @ columns 0 .. k-1, one _gemm per j.
     columns(n) takes the table columns of the low bits n mod m (a slice
     for a range within one span of m, as the samples of an undriven block
     are), then the squares step^(2^j) of the high bits, lowest
@@ -334,17 +337,11 @@ def _power_columns(step: np.ndarray, v0: np.ndarray, n_max: int,
     table = np.empty((len(v0), size))
     table[:, 0] = v0
     squares = [step]
-    k = 1
-    while k < size:
-        span = min(k, size - k)
-        if span > 1:
-            np.matmul(squares[-1], table[:, :span], out=table[:, k:k + span])
-        else:
-            table[:, k:k + 1] = _gemm(squares[-1], table[:, :1])
-        squares.append(squares[-1] @ squares[-1])
-        k *= 2
     while len(squares) < n_max.bit_length():
         squares.append(squares[-1] @ squares[-1])
+    for j in range((size - 1).bit_length()):
+        k = 1 << j
+        table[:, k:2 * k] = _gemm(squares[j], table[:, :min(k, size - k)])
     shift = m.bit_length() - 1
 
     def columns(n) -> np.ndarray:
@@ -370,12 +367,6 @@ def _power_columns(step: np.ndarray, v0: np.ndarray, n_max: int,
             bits >>= 1
         return v
     return columns
-
-
-def _powers(step: np.ndarray, n: np.ndarray, v0: np.ndarray) -> np.ndarray:
-    """Columns step^n[k] @ v0, shape (4, len(n)), for nondecreasing n: one
-    block of _power_columns."""
-    return _power_columns(step, v0, int(n[-1]), len(n))(n)
 
 
 def _outside_fixed_point(step: np.ndarray, gamma_eff: float,
@@ -423,7 +414,9 @@ def evolve(bath: BathSpec, drive: Drive, s0, t_max: float, dt_out: float,
     s0 is a Bloch vector of shape (3,) with |s0| <= 1.  The full
     time-dependent coherent block is kept (no rotating frame),
     so the high-frequency approximation enters only through Gamma_eff.
-    A sample with |s| > 1 + 100*tol raises IntegrationDivergedError.
+    A sample with |s| > 1 + 100*tol raises IntegrationDivergedError.  The
+    run takes one parameter point: an array parameter of the bath or the
+    drive raises ValueError naming it.
     """
     (trajectory,) = _sample_blocks(bath, drive, s0, t_max, dt_out, tol,
                                    None)
@@ -435,7 +428,8 @@ def evolve_blocks(bath: BathSpec, drive: Drive, s0, t_max: float,
     """The samples of evolve, _BLOCK_SAMPLES at a time: an iterator of
     Trajectory blocks, each with the run's substeps and period_error.
 
-    The blocks have the bits of evolve's whole arrays.  The powers come
+    The blocks have the bits of evolve's whole arrays (see
+    _sample_blocks); the last may hold a single sample.  The powers come
     from a table of _BLOCK_SAMPLES columns, so an undriven run of any
     length takes the memory of one block.  A driven run also keeps the
     Phi(tau) of the whole run, one 4x4 matrix per distinct phase of the
@@ -451,8 +445,9 @@ def evolve_blocks(bath: BathSpec, drive: Drive, s0, t_max: float,
 
 def _sample_blocks(bath, drive, s0, t_max, dt_out, tol, width):
     """evolve's samples as an iterator of Trajectory blocks of width
-    samples (None: one block of all); a lone last sample joins the block
-    before it."""
+    samples (None: one block of all); the last may be shorter.  A sample
+    has the same bits in a block of any width: every product goes through
+    gemm (_gemm) or through one sum whose order the code writes out."""
     s0 = np.asarray(s0, dtype=float)
     if s0.shape != (3,):
         raise ValueError(f"s0 must be a Bloch vector of shape (3,), got "
@@ -480,11 +475,8 @@ def _sample_blocks(bath, drive, s0, t_max, dt_out, tol, width):
     while (count - 1) * dt_out > t_max:
         count -= 1
     width = width or count
-    # a last sample alone joins the block before it: numpy would hand a
-    # block of one sample to other kernels (gemv, and an einsum that sums
-    # in another order), whose bits differ
-    bounds = [(start, count if count - start - width <= 1 else start + width)
-              for start in range(0, max(count - 1, 1), width)]
+    bounds = [(start, min(start + width, count))
+              for start in range(0, count, width)]
 
     v0 = np.append(s0, 1.0)
     driven = a1.any()
@@ -513,32 +505,23 @@ def _sample_blocks(bath, drive, s0, t_max, dt_out, tol, width):
                @ _prefix_products(levels, m))
         step = levels[-1][0]
         powers = _power_columns(step, v0, int(n[-1]), width)
-        # einsum sums the four products of an entry of s in an order that
-        # the memory layout of the powers sets.  Taken for all samples at
-        # once they are row-major where they are the doubling table itself
-        # (n = 0, 1, ..., count - 1) or need high bits (np.where), and
-        # column-major where they are gathered from the table alone; each
-        # block takes that layout, so that its samples keep those bits
-        column_major = (n[-1] < 1 << (count - 1).bit_length()
-                        and not (n[-1] == count - 1
-                                 and (n[1:] > n[:-1]).all()))
 
         def states(start, stop):
-            v = powers(n[start:stop])
-            if column_major:
-                v = np.asfortranarray(v)
-            return np.einsum("kij,jk->ki", phi[which[start:stop], :3], v)
+            # Phi(tau)[:3] @ v term by term: einsum would sum in an order
+            # that follows the memory layout of v
+            p, v = phi[which[start:stop], :3], powers(n[start:stop])
+            return (p[..., 0] * v[0, :, None] + p[..., 1] * v[1, :, None]
+                    + p[..., 2] * v[2, :, None] + p[..., 3] * v[3, :, None])
 
     # the first block is kept: a run of one block is computed once
     first = states(*bounds[0])
-    peak, over = 0.0, False
+    peak = 0.0
     for start, stop in bounds:
         s = first if start == 0 else states(start, stop)
         # np.linalg.norm(s, axis=1), without its copies
         norms = np.sqrt(np.add.reduce(s * s, axis=1))
-        over = over or bool((norms > 1.0 + 100.0 * tol).any())
         peak = np.maximum(peak, norms.max())
-    if over:
+    if peak > 1.0 + 100.0 * tol:
         # a run shorter than one period never iterates Phi(t_max)
         cause = (_outside_fixed_point(step, gamma_eff, a0[2, 3])
                  if not driven or t_max >= drive.period else "")
@@ -562,6 +545,7 @@ def steady_state(bath: BathSpec) -> np.ndarray:
     s_ss = (0, 0, -pi*alpha*Delta/Gamma) = (0, 0, -tanh(Delta/2T)), a
     float array of shape (3,).
     """
+    _one_point("steady_state", bath)
     gamma = rate_static(bath)
     if gamma == 0.0:
         raise NoSteadyStateError("alpha = 0 has no unique steady state")
@@ -584,6 +568,7 @@ def decay_eigenvalues(bath: BathSpec) -> DecaySpectrum:
     approximants are attached for reporting.  An all-real (overdamped)
     spectrum is flagged as outside the weak-damping regime.
     """
+    _one_point("decay_eigenvalues", bath)
     gamma = rate_static(bath)
     disc = np.sqrt(complex(gamma * gamma - 4.0))
     overdamped = gamma >= 2.0

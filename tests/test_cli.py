@@ -431,6 +431,18 @@ class TestEvolve:
         assert main(["evolve", "--config", str(cfg)]) == 2
         assert "config key 's0'" in capsys.readouterr().err
 
+    def test_negative_first_s0_component_in_equals_form(self, tmp_path):
+        # argparse takes '-0.3,0.4,0.5' after a space for an option
+        with pytest.raises(SystemExit) as exc:
+            main(["evolve", "--s0", "-0.3,0.4,0.5"])
+        assert exc.value.code == 2
+        out = tmp_path / "traj.csv"
+        assert main(["evolve", "--s0=-0.3,0.4,0.5", "--t-max", "1",
+                     "--out", str(out)]) == 0
+        comments, _, rows = read_csv(out)
+        assert "# s0 = -0.3,0.4,0.5" in comments
+        assert rows[0, 1:4].tolist() == [-0.3, 0.4, 0.5]
+
     @pytest.mark.parametrize("flags", [["--dt-out", "0"], ["--dt-out", "-1"],
                                        ["--s0=nan,0,0"],
                                        ["--dt-out", "1e-300"]])

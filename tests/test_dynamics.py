@@ -411,7 +411,8 @@ class TestPowers:
         # the running product rounds once per matvec: at 70,000 of them it
         # is ~2e-13 off the powers
         step = self.undriven_step(1 / 256)
-        got = dynamics._powers(step, np.arange(count), self.V0)
+        got = dynamics._power_columns(step, self.V0, count - 1,
+                                      count)(np.arange(count))
         assert got.shape == (4, count)
         assert np.array_equal(got[:, 0], self.V0)
         assert np.max(np.abs(got - _running_product(step, self.V0, count))) \
@@ -428,8 +429,8 @@ class TestPowers:
         # fixed point, so a wrong power shows
         step = self.undriven_step(1 / 256)
         want = _running_product(step, self.V0, n[-1] + 1)[:, n]
-        assert np.max(np.abs(dynamics._powers(step, n, self.V0) - want)) \
-            <= 1e-12
+        got = dynamics._power_columns(step, self.V0, int(n[-1]), len(n))(n)
+        assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_sparse_driven_run_matches_reference(self):
         # 1401 samples 11.4 periods apart, n up to 16,000, against the
@@ -506,15 +507,14 @@ class TestBlocks:
     @pytest.mark.parametrize("dt", [1 / 256, 0.37])
     @pytest.mark.parametrize("past", [0.25, 0.75])
     def test_blocks_at_arange_times(self, past, dt, count):
-        # a last sample alone joins the block before it; the times are
-        # those of np.arange(0, t_max + dt/2, dt) up to t_max, which past
-        # = 0.75 ends one sample beyond t_max
+        # the times are those of np.arange(0, t_max + dt/2, dt) up to
+        # t_max, which past = 0.75 ends one sample beyond t_max
         t_max = (count - 1 + past) * dt
         blocks, joined = self.joined(make_bath(), Drive(), self.S0, t_max,
                                      dt)
         sizes = [len(b) for b in blocks]
         assert all(size == self.B for size in sizes[:-1])
-        assert 2 <= sizes[-1] <= self.B + 1 or count == 1
+        assert 1 <= sizes[-1] <= self.B
         expected = np.arange(0.0, t_max + 0.5 * dt, dt)
         assert joined["t"].tobytes() == expected[expected <= t_max].tobytes()
         assert sum(sizes) == count
@@ -537,6 +537,26 @@ class TestBlocks:
             assert joined[name].tobytes() == getattr(traj, name).tobytes()
         assert {(b.substeps, b.period_error) for b in blocks} \
             == {(traj.substeps, traj.period_error)}
+
+    @pytest.mark.parametrize("width", [4096, 1000, 33, 7, 3, 2, 1])
+    @pytest.mark.parametrize("periods", [1 / 7.3, 1.1, 11.4],
+                             ids=["dense", "gathered", "high-bits"])
+    @pytest.mark.parametrize("kind", ["none", "dd", "cdt"])
+    def test_sample_bits_do_not_depend_on_block_width(self, kind, periods,
+                                                      width):
+        # 601 samples in blocks of any width, down to one sample, against
+        # one block of all of them: each sample has the same bits however
+        # its block is cut, lone last samples included
+        d = Drive() if kind == "none" else Drive(kind, 2.4, 100.0)
+        dt_out = periods * 2.0 * math.pi / 100.0
+        args = (make_bath(), d, self.S0, 600.5 * dt_out, dt_out, 1e-9)
+        (whole,) = dynamics._sample_blocks(*args, None)
+        blocks = list(dynamics._sample_blocks(*args, width))
+        assert [len(b) for b in blocks[:-1]] == [width] * (len(blocks) - 1)
+        assert len(whole) == 601
+        for name in self.FIELDS:
+            joined = np.concatenate([getattr(b, name) for b in blocks])
+            assert joined.tobytes() == getattr(whole, name).tobytes(), name
 
     @pytest.mark.parametrize("kind", ["dd", "cdt"])
     def test_dense_driven_blocks_match_reference(self, kind):
@@ -580,8 +600,9 @@ class TestExpm:
         # is 4.3e-13 off the 40-digit one, from rounding in the powering
         v0 = np.array([0.3, -0.4, 0.5, 1.0])
         n = np.array([70_000])
-        assert np.max(np.abs(dynamics._powers(step, n, v0)
-                             - dynamics._powers(rounded, n, v0))) <= 1e-13
+        got, want = (dynamics._power_columns(m, v0, 70_000, 1)(n)
+                     for m in (step, rounded))
+        assert np.max(np.abs(got - want)) <= 1e-13
 
     def test_zero_and_scalar_cases(self):
         assert np.array_equal(dynamics._expm(np.zeros((4, 4))), np.eye(4))
@@ -679,3 +700,29 @@ class TestAverageEntropyProduction:
     def test_requires_enough_samples(self):
         with pytest.raises(ValueError):
             average_entropy_production(make_bath(), Drive(), 10)
+
+
+_ENTRY_POINTS = {
+    "evolve": lambda bath, d: evolve(bath, d, (0.0, 0.0, 1.0), 1.0, 0.1),
+    "evolve_blocks": lambda bath, d: dynamics.evolve_blocks(
+        bath, d, (0.0, 0.0, 1.0), 1.0, 0.1),
+    "average_entropy_production": average_entropy_production,
+    "steady_state": lambda bath, d: steady_state(bath),
+    "decay_eigenvalues": lambda bath, d: decay_eigenvalues(bath),
+}
+
+
+@pytest.mark.parametrize("entry, name", [
+    (entry, name) for entry in _ENTRY_POINTS
+    for name in ("alpha", "omega_c", "temperature")
+    + (() if entry in ("steady_state", "decay_eigenvalues")
+       else ("amp_ratio", "omega"))])
+def test_array_parameter_is_refused_by_name(entry, name):
+    # the rate functions take arrays of points; the dynamics take one
+    point = {"amp_ratio": 2.4, "omega": 100.0, "alpha": 0.01,
+             "omega_c": 500.0, "temperature": 1.0}
+    point[name] = np.array([point[name], 2.0 * point[name]])
+    drive = Drive("dd", point.pop("amp_ratio"), point.pop("omega"))
+    with pytest.raises(ValueError, match=rf"one parameter point; {name} "
+                       rf"has shape \(2,\)"):
+        _ENTRY_POINTS[entry](make_bath(**point), drive)
