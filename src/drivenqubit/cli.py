@@ -36,8 +36,9 @@ that stops early (a closed pipe) ends a command with status 141 and no
 error line.  With
 several temperatures scan writes one file per temperature, the stem of
 --out suffixed with _T<temperature in %g form>, and exits with status 2
-before writing where two temperatures share a name; --out - (or no
---out) writes every table to stdout.  All CSV output is deterministic:
+before writing where two temperatures share a name, as fig1 does where
+two share an eta column name; --out - (or no --out) writes every table
+to stdout.  All CSV output is deterministic:
 '#'-prefixed comments carry the resolved configuration, floats are
 written with 9 significant digits as '%.8e' writes them, Unix line
 endings.  The floats are formatted in numpy; '%' itself writes only nan,
@@ -332,6 +333,16 @@ def cmd_rates(cfg: dict) -> int:
     return 0
 
 
+def _distinct(names: list, temperatures: list) -> list:
+    """names, one per temperature, if no two temperatures share one."""
+    for i, name in enumerate(names):
+        first = names.index(name)
+        if first < i:
+            raise ValueError(f"temperatures {temperatures[first]} and "
+                             f"{temperatures[i]} both write {name}")
+    return names
+
+
 def _sweep_values(cfg: dict) -> np.ndarray:
     for key in ("sweep", "min", "max", "points"):
         if cfg[key] is None:
@@ -358,12 +369,8 @@ def cmd_scan(cfg: dict) -> int:
     if len(temperatures) > 1 and cfg["out"] not in (None, "-"):
         # split the extension of the file name only, not of a directory
         root, ext = os.path.splitext(cfg["out"])
-        paths = [f"{root}_T{t:g}{ext}" for t in temperatures]
-        for i, path in enumerate(paths):
-            first = paths.index(path)
-            if first < i:
-                raise ValueError(f"temperatures {temperatures[first]} and "
-                                 f"{temperatures[i]} both write {path}")
+        paths = _distinct([f"{root}_T{t:g}{ext}" for t in temperatures],
+                          temperatures)
     for temperature, path in zip(temperatures, paths):
         # the swept parameter becomes an array of points; the bath and
         # drive checks then run once over the whole grid
@@ -423,14 +430,13 @@ def cmd_fig1(cfg: dict) -> int:
     temperature set {0.1, 1, 10} is a documented default (overridable
     with --temperature or the config file), not a literature value.
     """
-    omegas = np.geomspace(*FIG1_OMEGA_RANGE, FIG1_POINTS)
     temps = cfg["temperature"]
+    header = ["omega"] + _distinct([f"eta_T{t:g}" for t in temps], temps)
+    omegas = np.geomspace(*FIG1_OMEGA_RANGE, FIG1_POINTS)
     # (omega, temperature) grid in one call: omegas down, temperatures across
     bath = BathSpec(cfg["alpha"], cfg["omega_c"], np.array(temps))
     drive = Drive(DD, cfg["amp_ratio"], omegas[:, None])
     rows = np.column_stack([omegas, stabilization_eta(bath, drive)])
-
-    header = ["omega"] + [f"eta_T{t:g}" for t in temps]
     comments = _config_comments(cfg) + [_harmonics_comment(drive, bath),
                                         _ETA_NOTE]
     _write_csv(cfg["out"], comments, header, rows)

@@ -204,8 +204,13 @@ def dd_harmonic_sum(drive: Drive, bath: BathSpec):
     n = np.arange(_harmonic_count(x, bath) + 1)
     n = n.reshape((-1,) + (1,) * ndim)
     j2 = bessel_j(n, x) ** 2
-    w = n[1:] * drive.omega
-    harmonics = j2[1:] * power_spectrum(bath, w) * np.exp(-w / bath.omega_c)
+    # a harmonic whose cutoff factor is 0 adds 0, also where n*Omega
+    # overflows to inf (Omega near 1e308) and S(inf)*0 would be nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = n[1:] * drive.omega
+        cutoff = np.exp(-w / bath.omega_c)
+        harmonics = np.where(cutoff == 0.0, 0.0,
+                             j2[1:] * power_spectrum(bath, w) * cutoff)
     return (j2[0] * power_spectrum(bath, 1.0)
             + 2.0 * harmonics.sum(axis=0))[()]
 

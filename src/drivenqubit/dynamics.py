@@ -19,11 +19,6 @@ come from one table built by doubling and the squares of the higher bits
 computes the same samples 4096 at a time, so that an undriven trajectory
 of any length streams in the memory of one block, each sample with the
 same bits (_sample_blocks).  The package runs on numpy alone.
-
-evolve calls no ODE solver.  dynamics.solve_ivp (scipy's) stays a module
-attribute only because perfbench's tracer swaps that name to count solver
-calls; it is resolved on first access (PEP 562 __getattr__), so that
-importing the package loads no scipy.
 """
 
 from __future__ import annotations
@@ -39,13 +34,8 @@ from .driving import CDT, DD, Drive, _one_point
 from .rates import effective_rate, rate_static
 
 
-def __getattr__(name):
-    """solve_ivp, imported from scipy.integrate on first access."""
-    if name == "solve_ivp":
-        from scipy.integrate import solve_ivp
-        globals()["solve_ivp"] = solve_ivp
-        return solve_ivp
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# evolve calls no ODE solver; perfbench's tracer still swaps this name
+solve_ivp = None
 
 
 class IntegrationDivergedError(RuntimeError):
@@ -414,9 +404,10 @@ def evolve(bath: BathSpec, drive: Drive, s0, t_max: float, dt_out: float,
     s0 is a Bloch vector of shape (3,) with |s0| <= 1.  The full
     time-dependent coherent block is kept (no rotating frame),
     so the high-frequency approximation enters only through Gamma_eff.
-    A sample with |s| > 1 + 100*tol raises IntegrationDivergedError.  The
-    run takes one parameter point: an array parameter of the bath or the
-    drive raises ValueError naming it.
+    A sample with |s| > 1 + 100*tol raises IntegrationDivergedError; a
+    driven run of 2^63 or more drive periods raises ValueError.  The run
+    takes one parameter point: an array parameter of the bath or the drive
+    raises ValueError naming it.
     """
     (trajectory,) = _sample_blocks(bath, drive, s0, t_max, dt_out, tol,
                                    None)
@@ -471,6 +462,10 @@ def _sample_blocks(bath, drive, s0, t_max, dt_out, tol, width):
     if not length <= np.iinfo(np.intp).max // 8:
         raise ValueError(f"t_max / dt_out = {t_max / dt_out:.3g}: more "
                          "samples than an array can hold")
+    driven = a1.any()
+    if driven and not t_max / drive.period < 2.0 ** 63:
+        raise ValueError(f"t_max / T = {t_max / drive.period:.3g}: more "
+                         "drive periods than a 64-bit integer can count")
     count = math.ceil(length)
     while (count - 1) * dt_out > t_max:
         count -= 1
@@ -479,7 +474,6 @@ def _sample_blocks(bath, drive, s0, t_max, dt_out, tol, width):
               for start in range(0, count, width)]
 
     v0 = np.append(s0, 1.0)
-    driven = a1.any()
     substeps = period_error = None
     if not driven:
         step = _expm(a0 * dt_out)
@@ -518,13 +512,13 @@ def _sample_blocks(bath, drive, s0, t_max, dt_out, tol, width):
     peak = 0.0
     for start, stop in bounds:
         s = first if start == 0 else states(start, stop)
-        # np.linalg.norm(s, axis=1), without its copies
-        norms = np.sqrt(np.add.reduce(s * s, axis=1))
-        peak = np.maximum(peak, norms.max())
+        peak = np.maximum(peak, np.einsum("ij,ij->i", s, s).max())
+    peak = math.sqrt(peak)
     if peak > 1.0 + 100.0 * tol:
-        # a run shorter than one period never iterates Phi(t_max)
+        # an undriven run settles inside the ball, at -tanh(1/2T) z, and a
+        # run shorter than one period never iterates Phi(t_max)
         cause = (_outside_fixed_point(step, gamma_eff, a0[2, 3])
-                 if not driven or t_max >= drive.period else "")
+                 if driven and t_max >= drive.period else "")
         raise IntegrationDivergedError(
             f"|s| reached 1 + {peak - 1.0:.3e}, beyond the physical "
             f"bound 1 + {100.0 * tol:.3e}{cause}")

@@ -14,11 +14,12 @@ shape; the DD rate and eta of a whole grid come from one harmonic sum.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import BathSpec, _warn_points, power_spectrum
+from .bath import BathSpec, RegimeWarning, power_spectrum
 from .driving import (CDT, DD, NONE, Drive, QubitOperator, dd_harmonic_sum,
                       effective_splitting)
 
@@ -94,22 +95,28 @@ def stabilization_eta(bath: BathSpec, drive: Drive) -> float:
     with it, gamma_driven = 2*Gamma_eff, for either drive kind (for DD
     the paper's eta, for CDT its analogue).  eta > 1 guarantees
     improvement for any initial state; eta > 1/4 improvement on average
-    (eta = 1/4 exactly without a drive or at x = 0).  Returns inf (with a
-    warning) if the driven rate vanishes, which needs T = 0 and x at a J0
-    zero, and for DD also all harmonics beyond the cutoff.
+    (eta = 1/4 exactly without a drive or at x = 0).  Both rates are
+    proportional to alpha, so eta does not depend on it: at zero coupling
+    it is the eta of any alpha > 0.
     """
-    return _eta(rate_static(bath), effective_rate(bath, drive))
+    return _eta(bath, drive, effective_rate(bath, drive))
 
 
-def _eta(rate_undriven, rate_driven):
-    """(Gamma/2)/gamma_driven; inf, with one warning, where it vanishes."""
-    gamma_driven = 2.0 * rate_driven
-    unbounded = gamma_driven == 0.0
-    _warn_points(unbounded, "driven decoherence rate is exactly zero; "
-                 "stabilization factor is unbounded")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(unbounded, np.inf,
-                        0.5 * rate_undriven / gamma_driven)[()]
+def _eta(bath: BathSpec, drive: Drive, rate_driven):
+    """(Gamma/2)/(2*rate_driven).  Where rate_driven is 0, at alpha = 0
+    only, both rates come from alpha = 1, without the RegimeWarnings that
+    bath has raised for those points already."""
+    rate_undriven = rate_static(bath)
+    zero = np.equal(rate_driven, 0.0)
+    if zero.any():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RegimeWarning)
+            unit = BathSpec(np.where(zero, 1.0, bath.alpha), bath.omega_c,
+                            bath.temperature)
+        rate_undriven = np.where(zero, rate_static(unit), rate_undriven)
+        rate_driven = np.where(zero, effective_rate(unit, drive),
+                               rate_driven)
+    return (0.5 * rate_undriven / (2.0 * rate_driven))[()]
 
 
 def effective_rate(bath: BathSpec, drive: Drive) -> float:
@@ -140,6 +147,6 @@ def build_report(bath: BathSpec, drive: Drive) -> RateReport:
     """
     gamma_eff = effective_rate(bath, drive)
     gamma, gamma_avg = trace_bound(gamma_eff)
-    eta = None if drive.kind == NONE else _eta(rate_static(bath), gamma_eff)
+    eta = None if drive.kind == NONE else _eta(bath, drive, gamma_eff)
     return RateReport(drive.kind, effective_splitting(drive), gamma_eff,
                       gamma, gamma_avg, eta)

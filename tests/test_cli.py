@@ -453,6 +453,17 @@ class TestEvolve:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_more_periods_than_an_int64_is_usage_error(self, tmp_path,
+                                                       capsys):
+        out = tmp_path / "traj.csv"
+        assert main(["evolve", "--drive", "cdt", "--amp-ratio", "1",
+                     "--omega", "1e25", "--t-max", "1",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: t_max / T = 1.59e+24: more drive periods than a 64-bit "
+            "integer can count\n")
+        assert not out.exists()
+
 
 class TestFig1:
 
@@ -479,6 +490,23 @@ class TestFig1:
         main(["fig1", "--out", str(out)])
         _, _, rows = read_csv(out)
         assert rows[-1, 3] > rows[-1, 2] > rows[-1, 1]
+
+    def test_temperatures_sharing_a_column_name_are_usage_error(
+            self, tmp_path, capsys):
+        # both temperatures print as 0.1 under %g: no file is written
+        out = tmp_path / "fig1.csv"
+        assert main(["fig1", "--temperature", "0.1", "--temperature",
+                     "0.1000001", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: temperatures 0.1 and 0.1000001 both write eta_T0.1\n")
+        assert not out.exists()
+
+    def test_zero_coupling_writes_finite_eta(self, tmp_path, capsys):
+        out = tmp_path / "fig1.csv"
+        assert main(["fig1", "--alpha", "0", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        _, _, rows = read_csv(out)
+        assert np.isfinite(rows).all()
 
     def test_byte_identical_reruns(self, tmp_path):
         out = tmp_path / "fig1.csv"

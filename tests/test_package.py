@@ -1,6 +1,8 @@
 """The public surface: every name in drivenqubit.__all__ resolves, the
-README's library tour runs, and no command loads scipy."""
+README's library tour runs, and neither a command nor a source file
+loads scipy."""
 
+import ast
 import os
 import re
 import subprocess
@@ -34,7 +36,7 @@ def test_readme_library_tour_runs():
 # Runs in a fresh interpreter, as the test process has scipy loaded
 _IMPORT_CHAIN = """
 import sys
-from drivenqubit import cli, dynamics
+from drivenqubit import cli
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
@@ -50,11 +52,6 @@ for argv in (["rates", "--drive", "dd", "--amp-ratio", "2.4"],
               "--t-max", "1"]):
     assert cli.main(argv + ["--out", out]) == 0, argv
     assert scipy_modules() == [], (argv, scipy_modules())
-# solve_ivp stays a module attribute, imported on first access
-solve_ivp = dynamics.solve_ivp
-assert "scipy.integrate" in scipy_modules()
-import scipy.integrate
-assert solve_ivp is scipy.integrate.solve_ivp
 """
 
 
@@ -65,3 +62,23 @@ def test_no_command_loads_scipy(tmp_path):
         [sys.executable, "-c", _IMPORT_CHAIN, str(tmp_path / "out.csv")],
         env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_no_source_file_imports_scipy():
+    package = os.path.dirname(drivenqubit.__file__)
+    found = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as f:
+            tree = ast.parse(f.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [(name, node.lineno) for module in modules
+                      if module.split(".")[0] == "scipy"]
+    assert found == []

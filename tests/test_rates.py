@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -148,6 +149,16 @@ class TestRateDd:
         with pytest.raises(ValueError, match=message):
             rate_dd(Drive("dd", x, 10.0), make_bath())
 
+    def test_harmonics_past_the_largest_double_add_zero(self):
+        # n*Omega overflows for n >= 2; each harmonic's cutoff factor is 0,
+        # so only J0^2 * S(Delta) remains
+        bath = make_bath()
+        omega = np.array([1.0e300, 1.0e308, np.finfo(float).max])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = rate_dd(Drive("dd", 1.0, omega), bath)
+        assert np.all(got == bessel_j(0, 1.0) ** 2 * rate_static(bath))
+
     def test_harmonics_beyond_a_bessel_zero_count(self):
         # J1(x) = 0 here, so the n = 1 term vanishes; the n >= 2 terms
         # still carry almost all of the rate
@@ -210,13 +221,20 @@ class TestStabilizationEta:
             bath, Drive("dd", J0_FIRST_ZERO, w)) for w in omegas]
         assert np.all(np.diff(etas) >= 0.0)
 
-    def test_infinite_sentinel_flagged(self):
-        # T = 0, x at a J0 zero, all harmonics far beyond the cutoff
-        bath = BathSpec(0.01, 2.0, 0.0)
-        d = Drive("dd", J0_FIRST_ZERO, 1.0e4)
-        if rate_dd(d, bath) == 0.0:
-            with pytest.warns(UserWarning):
-                assert stabilization_eta(bath, d) == math.inf
+    @pytest.mark.parametrize("drive", [
+        Drive("dd", 2.4, 100.0), Drive("cdt", 2.4, 100.0),
+        Drive("dd", 2.4, np.geomspace(10.0, 1.0e4, 7)[:, None])])
+    def test_zero_coupling_is_the_eta_of_any_coupling(self, drive):
+        # both rates are proportional to alpha, so eta is not
+        temperature = np.array([0.0, 0.1, 1.0, 10.0])
+        weak = stabilization_eta(BathSpec(0.01, 500.0, temperature), drive)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            zero = stabilization_eta(BathSpec(0.0, 500.0, temperature),
+                                     drive)
+            report = build_report(BathSpec(0.0, 500.0, temperature), drive)
+        assert np.allclose(zero, weak, rtol=1e-14, atol=0.0)
+        assert np.array_equal(report.eta, zero)
 
     def test_cdt_variant(self):
         bath = make_bath(temperature=0.0)
