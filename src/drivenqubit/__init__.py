@@ -12,23 +12,22 @@ coherence-stabilization sweeps as CSV.
 __version__ = "0.1.0"
 
 from .bath import BathSpec, RegimeWarning, power_spectrum
-from .driving import (CDT, DD, NONE, Drive, QubitOperator, bessel_j,
-                      effective_splitting, numeric_q_oracle)
+from .driving import (CDT, DD, NONE, Drive, bessel_j, effective_splitting,
+                      numeric_q_oracle)
 from .dynamics import (DecaySpectrum, IntegrationDivergedError,
                        NoSteadyStateError, Trajectory,
                        average_entropy_production, decay_eigenvalues, evolve,
                        steady_state)
-from .rates import (RateReport, build_report, effective_coupling,
-                    effective_rate, rate_cdt, rate_dd, rate_static,
-                    stabilization_eta, trace_bound)
+from .rates import (RateReport, build_report, effective_rate, rate_cdt,
+                    rate_dd, rate_static, stabilization_eta, trace_bound)
 
 __all__ = [
     "BathSpec", "RegimeWarning", "power_spectrum",
-    "CDT", "DD", "NONE", "Drive", "QubitOperator", "bessel_j",
+    "CDT", "DD", "NONE", "Drive", "bessel_j",
     "effective_splitting", "numeric_q_oracle",
     "DecaySpectrum", "IntegrationDivergedError", "NoSteadyStateError",
     "Trajectory", "average_entropy_production", "decay_eigenvalues",
     "evolve", "steady_state",
-    "RateReport", "build_report", "effective_coupling", "effective_rate",
+    "RateReport", "build_report", "effective_rate",
     "rate_cdt", "rate_dd", "rate_static", "stabilization_eta", "trace_bound",
 ]

@@ -86,17 +86,21 @@ def power_spectrum(bath: BathSpec, omega):
 
     No exponential cutoff here: the cutoff enters the driven rate sums
     explicitly at the harmonic frequencies.  Limits: S -> 4*pi*alpha*T as
-    w -> 0 (T > 0) and S = 2*pi*alpha*w at T = 0.  omega may be an array;
-    the result has the broadcast shape of omega and the bath parameters.
+    w -> 0 (T > 0), taken wherever coth(w/2T) overflows (w = 0, or w/2T
+    below about 5.6e-309, as at T = 1e308), and S = 2*pi*alpha*w at
+    T = 0.  omega may be an array; the result has the broadcast shape of
+    omega and the bath parameters.
     """
     omega = np.asarray(omega, dtype=float)
     if np.any(omega < 0.0):
         raise ValueError("power spectrum is evaluated at omega >= 0")
     scale = 2.0 * math.pi * bath.alpha
-    # T = 0 gives x = inf and coth = 1; w = 0 is taken by the last where
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # T = 0, or a T so small that w/2T overflows, gives x = inf and
+    # coth = 1; an inf or nan coth (x = 0, 1/x past the largest double,
+    # or w = T = 0) takes the w -> 0 limit, which is 0 at T = 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         x = 0.5 * omega / bath.temperature
         # series branch avoids 1/tanh blowup near x = 0
         coth = np.where(x < 1e-6, 1.0 / x + x / 3.0, 1.0 / np.tanh(x))
-        return np.where(omega == 0.0, 2.0 * scale * bath.temperature,
-                        scale * omega * coth)[()]
+        return np.where(np.isfinite(coth), scale * omega * coth,
+                        2.0 * scale * bath.temperature)[()]

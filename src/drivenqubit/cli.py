@@ -350,8 +350,8 @@ def _sweep_values(cfg: dict) -> np.ndarray:
     if cfg["points"] < 2:
         raise ValueError("sweeps need at least 2 points")
     if cfg["spacing"] == "log":
-        if cfg["min"] <= 0.0:
-            raise ValueError("log spacing requires min > 0")
+        if not (cfg["min"] > 0.0 and cfg["max"] > 0.0):
+            raise ValueError("log spacing requires min > 0 and max > 0")
         return np.geomspace(cfg["min"], cfg["max"], cfg["points"])
     return np.linspace(cfg["min"], cfg["max"], cfg["points"])
 

@@ -5,12 +5,11 @@ along sigma_x (the bath axis) produces coherent destruction of tunneling:
 the splitting renormalizes to Delta_eff = J0(2A/Omega)*Delta.  A field
 along sigma_z commutes with the qubit Hamiltonian and acts as
 continuous-wave dynamical decoupling.  effective_splitting takes either
-kind; the time-averaged coupling operator lives in rates
-(effective_coupling), next to the rates it is built from, and
-numeric_q_oracle recomputes its Pauli weights (QubitOperator) by brute
-force.  Every closed form depends on the drive strength through
-x = 2A/Omega alone, so Drive stores x: a grid of frequencies at one drive
-strength has one x.
+kind.  For either drive the time-averaged coupling stays along the bath
+axis, Q = Gamma_eff*sigma_x, so its one weight is rates.effective_rate;
+numeric_q_oracle recomputes that weight by brute force.  Every closed
+form depends on the drive strength through x = 2A/Omega alone, so Drive
+stores x: a grid of frequencies at one drive strength has one x.
 
 Drive strengths and frequencies may be numpy arrays of parameter points;
 the rate functions then evaluate the whole grid in one broadcast.
@@ -223,16 +222,6 @@ SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = (ID2, SX, SY, SZ)
 
 
-@dataclass(frozen=True)
-class QubitOperator:
-    """Pauli weights of the operator c0*1 + cx*sx + cy*sy + cz*sz."""
-
-    c0: float = 0.0
-    cx: float = 0.0
-    cy: float = 0.0
-    cz: float = 0.0
-
-
 def _rotation_matrices(axis_mat: np.ndarray, half_angles: np.ndarray):
     """Stack of exp(-i*phi*axis_mat) for an array of phases phi."""
     c = np.cos(half_angles)[..., None, None]
@@ -240,7 +229,7 @@ def _rotation_matrices(axis_mat: np.ndarray, half_angles: np.ndarray):
     return c * ID2 - 1.0j * s * axis_mat
 
 
-def numeric_q_oracle(drive: Drive, bath: BathSpec) -> QubitOperator:
+def numeric_q_oracle(drive: Drive, bath: BathSpec) -> float:
     """Brute-force frequency-domain evaluation of the coupling operator Q.
 
     The conjugated operator U_F^dag U_P^dag sigma_x U_P U_F is built by raw
@@ -263,6 +252,10 @@ def numeric_q_oracle(drive: Drive, bath: BathSpec) -> QubitOperator:
     larger x (over 256 x 512 samples) raises ValueError, allocating nothing.
     It takes one parameter point: an array parameter of the drive or the
     bath raises ValueError naming it, before any grid is built.
+
+    Returns the sigma_x weight cx of Q.  Its weights on 1, sigma_y and
+    sigma_z must vanish: one above 1e-10 * max(|cx|, 1) raises
+    ArithmeticError.
     """
     if drive.kind not in (CDT, DD):
         raise ValueError("oracle requires a driven kind")
@@ -301,7 +294,7 @@ def numeric_q_oracle(drive: Drive, bath: BathSpec) -> QubitOperator:
     # V's harmonics weighted by the kernel; V is Hermitian, so q is real
     m = np.einsum("bcij,bc->ij", np.fft.fft2(v, axes=(0, 1)), kernel)
     q = [float(np.trace(p @ m).real) / (2 * n1 * n2) for p in PAULIS]
-    if max(abs(q[0]), abs(q[2]), abs(q[3])) > 1e-8 * max(abs(q[1]), 1.0):
+    if max(abs(q[0]), abs(q[2]), abs(q[3])) > 1e-10 * max(abs(q[1]), 1.0):
         raise ArithmeticError("oracle produced non-sigma_x components "
                               f"above tolerance: {q}")
-    return QubitOperator(*q)
+    return q[1]

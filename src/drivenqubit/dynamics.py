@@ -257,8 +257,12 @@ def _one_period(basis, omega, span, periods, tol):
     bounds the whole run.  e is the max row sum over the s rows, which
     bounds the error Phi adds to s per period.  The count also stops once
     e(N) < N*eps, where the rounding of the step product outgrows e, and
-    at _MAX_SUBSTEPS; if periods * e(N) > tol there, one RegimeWarning
-    names the estimate reached and which of the two stops applied.
+    at _MAX_SUBSTEPS.  No step count fixes a sample better than the
+    rounding of its phase tau = t - n*T, about eps*t: the state moves at
+    up to |A0|_1 + |A1|_1, so a run of periods*span is fixed only to
+    (|A0|_1 + |A1|_1)*eps*periods*span.  If periods * e(N) or that bound
+    exceeds tol, one RegimeWarning names each that does, and for e(N)
+    which of the two stops applied.
     """
     norm = np.abs(basis[:2]).reshape(2, 4, 4).sum(axis=1).max(axis=1).sum()
     n = min(2 ** max(0, math.ceil(math.log2(span * norm / _MAGNUS_NORM))),
@@ -272,17 +276,27 @@ def _one_period(basis, omega, span, periods, tol):
            and error > count * _EPS):
         count *= 2
         error = c / float(count) ** 6
+    phase = norm * _EPS * periods * span
+    parts = []
     if periods * error > tol:
         if error <= count * _EPS:
             cause = (f", below the rounding floor N*eps = {count * _EPS:.3e} "
                      "of an N-step product, where more steps cannot help")
         else:
             cause = f", at the {_MAX_SUBSTEPS}-step cap"
-        warnings.warn(
+        parts.append(
             f"the one-period propagator stops at {count} Magnus steps with "
             f"an error estimate of {error:.3e} per period{cause}; over "
             f"{periods} periods that is {periods * error:.3e}, above "
-            f"tol = {tol:.3e}", RegimeWarning, stacklevel=3)
+            f"tol = {tol:.3e}")
+    if phase > tol:
+        parts.append(
+            f"the sample phases t - n*T round to about eps*t, and the state "
+            f"moves at up to |A0|_1 + |A1|_1 = {norm:.3e}, so over "
+            f"{periods} periods each sample is fixed only to {phase:.3e}, "
+            f"above tol = {tol:.3e}")
+    if parts:
+        warnings.warn("; ".join(parts), RegimeWarning, stacklevel=3)
     if count > 2 * n:
         levels = _step_tree(basis, omega, span, count)
     return levels, error

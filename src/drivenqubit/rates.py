@@ -1,11 +1,12 @@
 """Closed-form relaxation/decoherence rates and coherence measures.
 
 All rates are in units of Delta.  effective_rate is the one dispatch on
-the drive kind: Gamma undriven, the CDT or DD closed form driven.  The
-effective coupling operator and the stabilization factor eta are built
-from it, so each takes either kind.  The trace of the Bloch decay matrix,
-gamma = 2*Gamma_eff, bounds every decoherence rate from above, and
-Gamma_av = gamma/3 is the entropy production averaged over pure states.
+the drive kind: Gamma undriven, the CDT or DD closed form driven.  It is
+also the one weight of the time-averaged coupling Q = Gamma_eff*sigma_x.
+The stabilization factor eta is built from it, so it takes either kind.
+The trace of the Bloch decay matrix, gamma = 2*Gamma_eff, bounds every
+decoherence rate from above, and Gamma_av = gamma/3 is the entropy
+production averaged over pure states.
 
 Every function here also accepts drive and bath parameters that are numpy
 arrays of parameter points and then returns an array of the broadcast
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import BathSpec, RegimeWarning, power_spectrum
-from .driving import (CDT, DD, NONE, Drive, QubitOperator, dd_harmonic_sum,
+from .driving import (CDT, DD, NONE, Drive, dd_harmonic_sum,
                       effective_splitting)
 
 
@@ -70,11 +71,11 @@ def rate_dd(drive: Drive, bath: BathSpec) -> float:
                * [tanh(Delta/2T)/tanh(n*Omega/2T)]
                * exp(-n*Omega/omega_c) * J_n(x)^2 }
 
-    which equals the sigma_x weight of the effective coupling operator;
-    both are evaluated through the same harmonic sum.  The series is
-    summed until the dropped tail is below 1e-16 * S(Delta); where that
-    needs more than 1024 harmonics (x beyond about 740) it raises
-    ValueError rather than return a truncated sum.
+    which is the sigma_x weight of the time-averaged coupling operator
+    Q (dd_harmonic_sum gives that of 2Q).  The series is summed until the
+    dropped tail is below 1e-16 * S(Delta); where that needs more than
+    1024 harmonics (x beyond about 740) it raises ValueError rather than
+    return a truncated sum.
     """
     _require_kind(drive, DD)
     return 0.5 * dd_harmonic_sum(drive, bath)
@@ -120,23 +121,19 @@ def _eta(bath: BathSpec, drive: Drive, rate_driven):
 
 
 def effective_rate(bath: BathSpec, drive: Drive) -> float:
-    """Gamma_eff for any drive kind: the one dispatch on drive.kind."""
+    """Gamma_eff for any drive kind: the one dispatch on drive.kind.
+
+    It is also the sigma_x weight of the time-averaged coupling operator
+    Q = Gamma_eff * sigma_x: S(|Delta_eff|)/2 for CDT (|Delta_eff|
+    because the power spectrum is even and J0 may be negative), the
+    harmonic sum of rate_dd for DD and S(Delta)/2 undriven.
+    numeric_q_oracle computes the same weight by brute force.
+    """
     if drive.kind == NONE:
         return rate_static(bath)
     if drive.kind == CDT:
         return rate_cdt(drive, bath)
     return rate_dd(drive, bath)
-
-
-def effective_coupling(drive: Drive, bath: BathSpec) -> QubitOperator:
-    """Time-averaged coupling operator Q = Gamma_eff * sigma_x.
-
-    For CDT Q = S(|Delta_eff|)/2 * sigma_x (|Delta_eff| because the power
-    spectrum is even and J0 may be negative); for DD its sigma_x weight is
-    the harmonic sum of rate_dd; undriven it is S(Delta)/2 * sigma_x.
-    numeric_q_oracle computes the same operator by brute force.
-    """
-    return QubitOperator(cx=effective_rate(bath, drive))
 
 
 def build_report(bath: BathSpec, drive: Drive) -> RateReport:

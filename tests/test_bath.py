@@ -78,6 +78,16 @@ class TestPowerSpectrum:
         assert got.shape == (2, 3)
         assert got == pytest.approx(np.array(expected), rel=1e-14, abs=0.0)
 
+    def test_extreme_temperatures_stay_finite_and_quiet(self):
+        # T = 1e308: coth(1/2T) overflows, and S takes its w -> 0 limit
+        # 4*pi*alpha*T; T = 1e-310 and 1e-320: w/2T overflows and coth = 1.
+        # A numpy RuntimeWarning fails the test (pyproject.toml)
+        bath = make_bath(temperature=np.array([1e308, 1e-310, 1e-320]))
+        scale = 2 * math.pi * bath.alpha
+        got = power_spectrum(bath, 1.0)
+        assert got == pytest.approx(
+            np.array([2 * scale * 1e308, scale, scale]), rel=1e-15, abs=0.0)
+
     def test_generic_point_against_exp_oracle(self):
         bath = make_bath(alpha=0.01, temperature=1.0)
         expected = 2 * math.pi * 0.01 * coth_exp(0.5)

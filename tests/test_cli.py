@@ -314,6 +314,16 @@ class TestScan:
                      "--points", "3", "--spacing", "log"]) == 2
         assert "min" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stop", ["-5", "0"])
+    def test_log_spacing_requires_positive_max(self, tmp_path, capsys, stop):
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--sweep", "omega", "--min", "10", "--max",
+                     stop, "--points", "3", "--spacing", "log",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "error: log spacing requires min > 0 and max > 0\n"
+        assert not out.exists()
+
     def test_missing_sweep_is_usage_error(self, capsys):
         assert main(["scan", "--min", "1", "--max", "2", "--points", "2"]) \
             == 2

@@ -5,8 +5,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from drivenqubit import (BathSpec, Drive, RegimeWarning, bessel_j,
-                         effective_coupling, effective_splitting,
+from drivenqubit import (BathSpec, Drive, RegimeWarning, bessel_j, driving,
+                         effective_rate, effective_splitting,
                          numeric_q_oracle, rate_static)
 
 from _oracles import bessel_series, rate_dd_series
@@ -125,25 +125,23 @@ class TestEffectiveCouplings:
 
     def test_cdt_undriven_limit_is_static_rate(self):
         bath = make_bath()
-        q = effective_coupling(Drive("cdt", 0.0, 100.0), bath)
-        assert q.cx == pytest.approx(rate_static(bath), rel=1e-14)
-        assert q.c0 == q.cy == q.cz == 0.0
+        q = effective_rate(bath, Drive("cdt", 0.0, 100.0))
+        assert q == pytest.approx(rate_static(bath), rel=1e-14)
 
     def test_cdt_vanishes_at_j0_zero_and_zero_temperature(self):
         bath = make_bath(temperature=0.0)
         d = Drive("cdt", J0_FIRST_ZERO, 100.0)
-        q = effective_coupling(d, bath)
-        assert abs(q.cx) < 1e-6
+        assert abs(effective_rate(bath, d)) < 1e-6
 
     def test_dd_undriven_limit(self):
         bath = make_bath()
-        q = effective_coupling(Drive("dd", 0.0, 100.0), bath)
-        assert q.cx == pytest.approx(rate_static(bath), rel=1e-14)
+        q = effective_rate(bath, Drive("dd", 0.0, 100.0))
+        assert q == pytest.approx(rate_static(bath), rel=1e-14)
 
     def test_dd_at_j0_zero_is_pure_harmonic_sum(self):
         bath = make_bath(temperature=10.0)
         d = Drive("dd", J0_FIRST_ZERO, 1000.0)
-        full = effective_coupling(d, bath).cx
+        full = effective_rate(bath, d)
         # subtracting the (vanishing) J0^2 term changes nothing measurable
         j0_term = 0.5 * bessel_j(0, J0_FIRST_ZERO) ** 2 * \
             2 * math.pi * bath.alpha * (1 / math.tanh(0.05))
@@ -152,15 +150,10 @@ class TestEffectiveCouplings:
     def test_couplings_hermitian_nonnegative_sigma_x(self):
         bath = make_bath(temperature=10.0)
         for x in (0.0, 1.2, 2.4, 3.8):
-            qc = effective_coupling(
-                Drive("cdt", x, 1000.0), bath)
-            qd = effective_coupling(
-                Drive("dd", x, 1000.0), bath)
-            for q in (qc, qd):
-                assert all(np.isrealobj(w)
-                           for w in (q.c0, q.cx, q.cy, q.cz))
-                assert q.cx >= 0.0
-                assert abs(q.c0) + abs(q.cy) + abs(q.cz) == 0.0
+            for kind in ("cdt", "dd"):
+                q = effective_rate(bath, Drive(kind, x, 1000.0))
+                assert np.isrealobj(q)
+                assert q >= 0.0
 
 
 class TestJacobiAnger:
@@ -185,9 +178,7 @@ class TestNumericQOracle:
         bath = make_bath(temperature=temperature)
         d = Drive("cdt", x, 1000.0)
         got = numeric_q_oracle(d, bath)
-        expected = effective_coupling(d, bath)
-        assert got.cx == pytest.approx(expected.cx, rel=1e-12)
-        assert max(abs(got.c0), abs(got.cy), abs(got.cz)) < 1e-8
+        assert got == pytest.approx(effective_rate(bath, d), rel=1e-12)
 
     @pytest.mark.parametrize("temperature", [0.0, 10.0])
     @pytest.mark.parametrize("x", [0.0, 1.2, 2.4])
@@ -195,21 +186,19 @@ class TestNumericQOracle:
         bath = make_bath(temperature=temperature)
         d = Drive("dd", x, 1000.0)
         got = numeric_q_oracle(d, bath)
-        expected = effective_coupling(d, bath)
-        assert got.cx == pytest.approx(expected.cx, rel=1e-12)
-        assert max(abs(got.c0), abs(got.cy), abs(got.cz)) < 1e-8
+        assert got == pytest.approx(effective_rate(bath, d), rel=1e-12)
 
     def test_undriven_equivalent_reduces_to_static_rate(self):
         bath = make_bath()
         got = numeric_q_oracle(Drive("cdt", 0.0, 1000.0), bath)
-        assert got.cx == pytest.approx(rate_static(bath), abs=1e-8)
+        assert got == pytest.approx(rate_static(bath), abs=1e-8)
 
     @pytest.mark.parametrize("x", [40.0, 50.0, 80.0])
     def test_dd_agreement_at_large_x(self, x):
         # psi x theta1 grids of 128 x 256 (x = 40, 50) and 256 x 256 (x = 80),
         # past the 64 x 128 that serve x up to about 14
         got = numeric_q_oracle(Drive("dd", x, 1000.0), make_bath())
-        assert got.cx == pytest.approx(
+        assert got == pytest.approx(
             rate_dd_series(x, 1000.0, 0.01, 500.0, 1.0), rel=1e-12)
 
     def test_refuses_x_beyond_its_grids_before_building_them(self):
@@ -228,6 +217,20 @@ class TestNumericQOracle:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             numeric_q_oracle(Drive(), make_bath())
+
+    @pytest.mark.parametrize("kind", ["cdt", "dd"])
+    @pytest.mark.parametrize("pauli", ["SY", "SZ"])
+    def test_refuses_a_coupling_off_sigma_x(self, monkeypatch, kind, pauli):
+        monkeypatch.setattr(driving, "SX", getattr(driving, pauli))
+        with pytest.raises(ArithmeticError, match="non-sigma_x"):
+            numeric_q_oracle(Drive(kind, 2.4, 1000.0), make_bath())
+
+    def test_refuses_a_small_sigma_y_admixture(self, monkeypatch):
+        # a sigma_y weight of 2.7e-9 against cx = 2.75: 1e-9 of cx, above
+        # the bound 1e-10 * max(|cx|, 1)
+        monkeypatch.setattr(driving, "SX", driving.SX + 1e-9 * driving.SY)
+        with pytest.raises(ArithmeticError, match="non-sigma_x"):
+            numeric_q_oracle(Drive("dd", 2.4, 1000.0), make_bath())
 
     @pytest.mark.parametrize("name", ["amp_ratio", "omega", "alpha",
                                       "omega_c", "temperature"])

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -371,6 +372,27 @@ class TestFloquetPropagator:
             in message
         assert "at the 8192-step cap" in message
         assert "rounding floor" not in message
+
+    @pytest.mark.parametrize("omega", [1e12, 1e16])
+    def test_phase_rounding_warns_with_its_bound(self, omega):
+        # the phases t - n*T of a run to t = 1 round to about eps, and the
+        # state moves at up to |A0|_1 + |A1|_1 = 1 + Gamma_eff + x*Omega
+        bath, d = make_bath(), Drive("cdt", 1.0, omega)
+        with pytest.warns(RegimeWarning) as record:
+            evolve(bath, d, (0.0, 0.0, 1.0), 1.0, 0.25)
+        assert len(record) == 1
+        bound = ((1.0 + rate_cdt(d, bath) + omega) * np.finfo(float).eps
+                 * math.ceil(1.0 / d.period) * d.period)
+        assert 2e-4 < bound < 3.0
+        assert f"each sample is fixed only to {bound:.3e}, above tol = " \
+            "1.000e-09" in str(record[0].message)
+
+    def test_run_of_a_few_hundred_periods_is_silent(self):
+        # a run like the benchmark's trajectories: its phase bound,
+        # 1e-11, and its truncation estimate stay below tol
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RegimeWarning)
+            evolve(make_bath(), Drive("dd", 2.4, 100.0), self.S0, 200.5, 1.0)
 
     def test_divergence_names_fixed_point_outside_ball(self):
         # J0 zero at a low temperature: Gamma_DD < pi*alpha*Delta puts the

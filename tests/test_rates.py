@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drivenqubit import (BathSpec, Drive, bessel_j, build_report,
-                         effective_coupling, effective_splitting,
+                         effective_rate, effective_splitting,
                          power_spectrum, rate_cdt, rate_dd, rate_static,
                          stabilization_eta, trace_bound)
 
@@ -105,12 +105,13 @@ class TestRateDd:
         got = rate_dd(Drive("dd", x, omega), bath)
         assert got == pytest.approx(expected, rel=1e-12)
 
-    def test_matches_effective_coupling_coefficient(self):
+    def test_effective_rate_dispatches_dd_to_rate_dd(self):
+        # effective_rate, also the sigma_x weight of Q
         bath = make_bath(temperature=10.0)
         for x in (0.0, 1.2, 2.4):
             d = Drive("dd", x, 1000.0)
-            assert rate_dd(d, bath) == pytest.approx(
-                effective_coupling(d, bath).cx, rel=1e-12)
+            assert effective_rate(bath, d) == pytest.approx(
+                rate_dd(d, bath), rel=1e-12)
 
     def test_closed_form_tanh_ratio(self):
         bath = make_bath(temperature=10.0)
