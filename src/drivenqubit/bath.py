@@ -26,6 +26,8 @@ def _warn_points(mask, message: str, *params):
 
     The points are the broadcast of mask with the parameter arrays params.
     """
+    if not np.any(mask):        # the common case, at the cost of one call
+        return
     shape = np.broadcast_shapes(np.shape(mask), *map(np.shape, params))
     hits = np.count_nonzero(np.broadcast_to(mask, shape))
     if hits:
@@ -64,9 +66,11 @@ class BathSpec:
                      positive=True)
         _check_range(self.temperature,
                      "temperature must be finite and non-negative")
+        # alpha*ln(omega_c) would overflow from alpha ~ 3e307; an alpha
+        # of 1e300 already violates it wherever ln(omega_c) > 0
         _warn_points(
-            np.multiply(self.alpha, np.log(np.maximum(self.omega_c, 1.0)))
-            > 0.1,
+            np.minimum(self.alpha, 1e300)
+            * np.log(np.maximum(self.omega_c, 1.0)) > 0.1,
             "weak-coupling condition alpha*ln(omega_c) << 1 violated; "
             "Markovian rates are unreliable here", *params)
         _warn_points(

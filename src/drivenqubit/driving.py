@@ -167,16 +167,22 @@ def _harmonic_count(x, bath: BathSpec) -> int:
     r = ((x/2)/(N+2))^2, so for r < 1 the tail is at most
     2*(wc/e + 2T)*c_{N+1}^2/(1 - r).  The grid's largest x and largest
     wc/e + 2T bound every point.
+    The test c < sqrt(_TAIL_TOL*(1 - r)/(2*(wc/e + 2T))) takes both sides
+    times 2^k and quarter = wc/4e + T/2 for (wc/e + 2T)/4, both exact:
+    2T overflows from T ~ 9e307, and 4^k ~ quarter keeps the quotient
+    from underflowing, as it does from wc/e + 2T ~ 1e291.
     """
     half_x = 0.5 * float(np.max(x))
-    scale = float(np.max(np.divide(bath.omega_c, math.e)
-                         + 2.0 * np.asarray(bath.temperature)))
+    quarter = float(np.max(np.divide(bath.omega_c, 4.0 * math.e)
+                           + 0.5 * np.asarray(bath.temperature)))
+    k = max(0, math.frexp(quarter)[1] // 2)
+    lift, lift2 = 2.0 ** k, 2.0 ** (2 * k - 3)  # 2^k, and 4^k/8
     c = half_x                                  # c_{N+1} for N = 0
     for n in range(_MAX_HARMONICS + 1):
         q = half_x / (n + 2)                    # q^2 = r
         # c < sqrt(...), not c^2 < ...: c^2 overflows for x above about 700
-        if q < 1.0 and c < math.sqrt(_TAIL_TOL * (1.0 - q * q)
-                                     / (2.0 * scale)):
+        if q < 1.0 and c * lift < math.sqrt(
+                _TAIL_TOL * (1.0 - q * q) * lift2 / quarter):
             return n
         c *= q
     raise ValueError(

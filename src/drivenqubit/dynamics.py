@@ -13,12 +13,15 @@ through integer powers of it.  The one-period propagator is a product of
 sixth-order Magnus steps, each the matrix exponential (_expm) of a
 closed-form exponent from A at three Gauss points, with as many steps as
 the whole run's error budget tol needs, or as the rounding of the step
-product allows; an undriven run takes powers of one exponential.  The powers
-come from one table built by doubling and the squares of the higher bits
-(_power_columns).  evolve computes all samples at once; evolve_blocks
-computes the same samples 4096 at a time, so that an undriven trajectory
-of any length streams in the memory of one block, each sample with the
-same bits (_sample_blocks).  The package runs on numpy alone.
+product allows.  One walk down the tree of step products gives Phi(m h),
+the product of the first m steps, for every m (_prefixes); a sample's
+phase takes one of them and one partial step.  An undriven run takes
+powers of one exponential.  The powers come from one table built by
+doubling and the squares of the higher bits (_power_columns).  evolve
+computes all samples at once; evolve_blocks computes the same samples
+4096 at a time, so that an undriven trajectory of any length streams in
+the memory of one block, each sample with the same bits (_sample_blocks).
+The package runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -230,24 +233,23 @@ def _step_tree(basis, omega, span, n):
     return levels
 
 
-def _prefix_products(levels, m: np.ndarray) -> np.ndarray:
-    """Phi(m h), the product of the first m steps, for each m in 0..n.
-
-    Bit j of m, highest first, appends the level-j node that covers the
-    next 2^j steps: one masked batch product per level.  k = m >> j counts
-    the steps covered so far in units of 2^j, so the node is k - 1 when
-    bit j is set (when k = 0 the index -1 is read and masked out).
-    """
-    phi = np.broadcast_to(np.eye(4), (len(m), 4, 4))
-    for j in range(len(levels) - 1, -1, -1):
-        k = m >> j
-        phi = np.where((k & 1).astype(bool)[:, None, None],
-                       levels[j][k - 1] @ phi, phi)
+def _prefixes(levels) -> np.ndarray:
+    """Phi(m h) for m = 0..n, shape (n + 1, 4, 4), from _step_tree's
+    levels, one batched product per level down from the root: a node's
+    left child keeps the node's prefix, its right child gets the left
+    child times it, and the first factor of every prefix multiplies I."""
+    n = len(levels[0])
+    phi = np.empty((n + 1, 4, 4))
+    phi[0], phi[n] = np.eye(4), levels[-1][0] @ np.eye(4)
+    for j in range(len(levels) - 2, -1, -1):
+        # the level-j nodes start at the multiples of 2^j
+        phi[1 << j::2 << j] = levels[j][::2] @ phi[:-1:2 << j]
     return phi
 
 
 def _one_period(basis, omega, span, periods, tol):
-    """Step tree of the one-period propagator and its error estimate.
+    """Phi(m h) for m = 0..N over the N Magnus steps the run keeps, the
+    last being Phi(span), and the error estimate of Phi(span).
 
     Starts from the power-of-two step count n at which h*(|A0|_1 + |A1|_1)
     <= 1/2, or from half of _MAX_SUBSTEPS if that is smaller.  The
@@ -299,7 +301,7 @@ def _one_period(basis, omega, span, periods, tol):
         warnings.warn("; ".join(parts), RegimeWarning, stacklevel=3)
     if count > 2 * n:
         levels = _step_tree(basis, omega, span, count)
-    return levels, error
+    return _prefixes(levels), error
 
 
 def _gemm(a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -404,16 +406,18 @@ def evolve(bath: BathSpec, drive: Drive, s0, t_max: float, dt_out: float,
     (Floquet; Grifoni & Hanggi, Phys. Rep. 304, 229 (1998)).  Phi is
     built once, over [0, T] or over [0, t_max] when t_max < T, from N
     uniform sixth-order Magnus steps: Phi(T) is their tree product, and
-    Phi(tau) at a sample's phase the product of the first floor(tau/h)
-    steps times one sixth-order partial step.  N is the smallest power of
-    two at which ceil(t_max/T) times the one-period error estimate is
-    <= tol, unless the rounding of the step product stops it first (see
-    _one_period); the result records N (substeps) and the estimate
-    (period_error).  Phi(T)^n (s0, 1) comes from _power_columns: a table
-    of the powers below the sample count, built by doubling, and binary
-    powering from there on, so the cost does not grow with t_max / T.  An
-    undriven run needs no steps: sample k is exp(A0*dt_out)^k (s0, 1),
-    the table itself.  Sample k is at time k*dt_out, up to t_max.
+    Phi(tau) at a sample's phase the product Phi(m h) of the first
+    m = floor(tau/h) steps times one sixth-order partial step; Phi(m h)
+    for every m comes from one walk down the tree, once per run.  N is
+    the smallest power of two at which ceil(t_max/T) times the one-period
+    error estimate is <= tol, unless the rounding of the step product
+    stops it first (see _one_period); the result records N (substeps)
+    and the estimate (period_error).  Phi(T)^n (s0, 1) comes from
+    _power_columns: a table of the powers below the sample count, built
+    by doubling, and binary powering from there on, so the cost does not
+    grow with t_max / T.  An undriven run needs no steps: sample k is
+    exp(A0*dt_out)^k (s0, 1), the table itself.  Sample k is at time
+    k*dt_out, up to t_max.
 
     s0 is a Bloch vector of shape (3,) with |s0| <= 1.  The full
     time-dependent coherent block is kept (no rotating frame),
@@ -503,15 +507,15 @@ def _sample_blocks(bath, drive, s0, t_max, dt_out, tol, width):
         # t - n*T may round a hair outside [0, span]
         tau = np.clip(t - n * period, 0.0, span)
         basis = _commutators(a0, a1)
-        levels, period_error = _one_period(basis, omega, span,
-                                           math.ceil(t_max / period), tol)
-        substeps = len(levels[0])
+        prefixes, period_error = _one_period(basis, omega, span,
+                                             math.ceil(t_max / period), tol)
+        substeps = len(prefixes) - 1
         h = span / substeps
         phases, which = np.unique(tau, return_inverse=True)
         m = np.minimum(np.floor(phases / h).astype(np.int64), substeps)
         phi = (_expm(_magnus_exponents(basis, omega, m * h, phases - m * h))
-               @ _prefix_products(levels, m))
-        step = levels[-1][0]
+               @ prefixes[m])
+        step = prefixes[-1]
         powers = _power_columns(step, v0, int(n[-1]), width)
 
         def states(start, stop):

@@ -97,25 +97,30 @@ def stabilization_eta(bath: BathSpec, drive: Drive) -> float:
     the paper's eta, for CDT its analogue).  eta > 1 guarantees
     improvement for any initial state; eta > 1/4 improvement on average
     (eta = 1/4 exactly without a drive or at x = 0).  Both rates are
-    proportional to alpha, so eta does not depend on it: at zero coupling
-    it is the eta of any alpha > 0.
+    proportional to alpha, so eta does not depend on it: at zero coupling,
+    and where a rate overflows, it is the eta of any alpha > 0.
     """
     return _eta(bath, drive, effective_rate(bath, drive))
 
 
 def _eta(bath: BathSpec, drive: Drive, rate_driven):
-    """(Gamma/2)/(2*rate_driven).  Where rate_driven is 0, at alpha = 0
-    only, both rates come from alpha = 1, without the RegimeWarnings that
-    bath has raised for those points already."""
+    """(Gamma/2)/(2*rate_driven) at any finite alpha.  Where rate_driven
+    is 0 (alpha = 0) or a rate overflows (from alpha ~ 5e304), both rates
+    come from alpha = 2^-64, without the RegimeWarnings that bath has
+    raised for those points already.  A power of two scales the rates
+    exactly, so eta has the bits of alpha = 1, whose rates overflow from
+    T ~ 1.4e307."""
     rate_undriven = rate_static(bath)
-    zero = np.equal(rate_driven, 0.0)
-    if zero.any():
+    # rate_undriven is never nan, and nan fails both tests
+    unit = ~((0.0 < rate_driven)
+             & (np.maximum(rate_driven, rate_undriven) < np.inf))
+    if unit.any():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RegimeWarning)
-            unit = BathSpec(np.where(zero, 1.0, bath.alpha), bath.omega_c,
-                            bath.temperature)
-        rate_undriven = np.where(zero, rate_static(unit), rate_undriven)
-        rate_driven = np.where(zero, effective_rate(unit, drive),
+            unit_bath = BathSpec(np.where(unit, 2.0 ** -64, bath.alpha),
+                                 bath.omega_c, bath.temperature)
+        rate_undriven = np.where(unit, rate_static(unit_bath), rate_undriven)
+        rate_driven = np.where(unit, effective_rate(unit_bath, drive),
                                rate_driven)
     return (0.5 * rate_undriven / (2.0 * rate_driven))[()]
 

@@ -45,6 +45,11 @@ class TestBathSpec:
     def test_strong_coupling_warning(self):
         with pytest.warns(RegimeWarning):
             BathSpec(0.05, 500.0, 1.0)  # alpha*ln(500) ~ 0.31
+        # alpha*ln(500) overflows to inf: the same warning and no numpy one
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            BathSpec(1e308, 500.0, 1.0)
+        assert [w.category for w in caught] == [RegimeWarning]
 
     def test_low_cutoff_warning(self):
         with pytest.warns(RegimeWarning):

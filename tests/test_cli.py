@@ -517,6 +517,10 @@ class TestFig1:
         assert capsys.readouterr().err == ""
         _, _, rows = read_csv(out)
         assert np.isfinite(rows).all()
+        # at alpha = 1e308 every rate overflows, and eta is the same
+        assert main(["fig1", "--alpha", "1e308", "--out", str(out)]) == 0
+        _, _, huge = read_csv(out)
+        assert np.array_equal(huge, rows)
 
     def test_byte_identical_reruns(self, tmp_path):
         out = tmp_path / "fig1.csv"

@@ -288,7 +288,7 @@ class TestFloquetPropagator:
             assert np.max(np.abs(omega_h - want)) <= 1e-14 * max(
                 1.0, np.max(np.abs(want)))
 
-    def test_prefix_products_match_running_product(self):
+    def test_prefixes_match_running_product(self):
         _, a0, a1 = dynamics._generator(make_bath(),
                                         Drive("cdt", 2.4, 100.0))
         levels = dynamics._step_tree(dynamics._commutators(a0, a1), 100.0,
@@ -296,7 +296,7 @@ class TestFloquetPropagator:
         running = [np.eye(4)]
         for step in levels[0]:
             running.append(step @ running[-1])
-        got = dynamics._prefix_products(levels, np.arange(17))
+        got = dynamics._prefixes(levels)
         assert np.max(np.abs(got - running)) <= 1e-14
         assert np.array_equal(got[-1], levels[-1][0])
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drivenqubit import (BathSpec, Drive, bessel_j, build_report,
-                         effective_rate, effective_splitting,
+from drivenqubit import (BathSpec, Drive, RegimeWarning, bessel_j,
+                         build_report, effective_rate, effective_splitting,
                          power_spectrum, rate_cdt, rate_dd, rate_static,
                          stabilization_eta, trace_bound)
 
@@ -160,6 +160,22 @@ class TestRateDd:
             got = rate_dd(Drive("dd", 1.0, omega), bath)
         assert np.all(got == bessel_j(0, 1.0) ** 2 * rate_static(bath))
 
+    @pytest.mark.parametrize("omega_c, temperature", [
+        (500.0, 2e307), (500.0, 1e308), (6e307, 1.0), (1e308, 1.0)])
+    def test_huge_temperature_or_cutoff_sums_to_the_oracle(self, omega_c,
+                                                           temperature):
+        # 2T overflows from T ~ 9e307, and the harmonic count's tail
+        # quotient underflows from wc/e + 2T ~ 1e291: neither may refuse
+        # x = 2.4 as needing more than 1024 harmonics
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RegimeWarning)
+            bath = make_bath(omega_c=omega_c, temperature=temperature)
+        d = Drive("dd", 2.4, 100.0)
+        want = rate_dd_series(2.4, 100.0, 0.01, omega_c, temperature)
+        assert rate_dd(d, bath) == pytest.approx(want, rel=1e-12)
+        assert stabilization_eta(bath, d) == pytest.approx(
+            0.25 * rate_static(bath) / want, rel=1e-12)
+
     def test_harmonics_beyond_a_bessel_zero_count(self):
         # J1(x) = 0 here, so the n = 1 term vanishes; the n >= 2 terms
         # still carry almost all of the rate
@@ -226,16 +242,22 @@ class TestStabilizationEta:
         Drive("dd", 2.4, 100.0), Drive("cdt", 2.4, 100.0),
         Drive("dd", 2.4, np.geomspace(10.0, 1.0e4, 7)[:, None])])
     def test_zero_coupling_is_the_eta_of_any_coupling(self, drive):
-        # both rates are proportional to alpha, so eta is not
+        # both rates are proportional to alpha, so eta is not: also at
+        # alpha = 0, and where a rate overflows (Gamma_DD from 5e304)
         temperature = np.array([0.0, 0.1, 1.0, 10.0])
         weak = stabilization_eta(BathSpec(0.01, 500.0, temperature), drive)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            zero = stabilization_eta(BathSpec(0.0, 500.0, temperature),
-                                     drive)
-            report = build_report(BathSpec(0.0, 500.0, temperature), drive)
-        assert np.allclose(zero, weak, rtol=1e-14, atol=0.0)
-        assert np.array_equal(report.eta, zero)
+        for alpha in (0.0, 5e304, 2e307, 1e308):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                bath = BathSpec(alpha, 500.0, temperature)
+                eta = stabilization_eta(bath, drive)
+                report = build_report(bath, drive)
+            # alpha > 0 here violates the weak-coupling condition, and
+            # BathSpec says so once; nothing else warns
+            assert [str(w.message)[:13] for w in caught] \
+                == ["weak-coupling"] * (alpha > 0.0), alpha
+            assert np.allclose(eta, weak, rtol=1e-14, atol=0.0), alpha
+            assert np.array_equal(report.eta, eta), alpha
 
     def test_cdt_variant(self):
         bath = make_bath(temperature=0.0)
