@@ -27,7 +27,7 @@ number of points that tripped it; main prints a RegimeWarning as one
 'warning: <message>' line on stderr.  The DD harmonic sum picks its own
 length from the grid (dropped tail below 1e-16 * S(Delta)), records it as
 '# harmonics = N' in the header of DD scan and fig1 files, and fails with
-exit status 2 where x = 2A/Omega is too large for it to converge.  A
+exit status 2 for x = 2A/Omega beyond 1e5 or 2**24 terms over the grid.  A
 driven evolve records the Magnus steps per drive period and the estimated
 error of its one-period propagator as '# substeps = N' and
 '# period_error = e' in its header; evolve writes its rows a block at a

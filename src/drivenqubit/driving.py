@@ -151,43 +151,39 @@ def effective_splitting(drive: Drive) -> float:
     return 1.0
 
 
-# The DD series is summed to a tail below _TAIL_TOL * S(Delta); past
-# _MAX_HARMONICS harmonics (x of about 740) it is refused, not truncated.
+# The DD series is summed to a tail below _TAIL_TOL * S(Delta); a sum of
+# more than _MAX_TERMS terms (128 MiB per array) is refused, not truncated.
 _TAIL_TOL = 1e-16
-_MAX_HARMONICS = 1024
+_MAX_TERMS = 2 ** 24
 
 
 def _harmonic_count(x, bath: BathSpec) -> int:
     """Smallest N whose dropped DD tail sum_{n>N} is below _TAIL_TOL*S(Delta).
 
-    With c_n = (x/2)^n/n! >= |J_n(x)| (Abramowitz & Stegun 9.1.62),
-    w*coth(w/2T) <= w + 2T and w*e^(-w/wc) <= wc/e, the n-th term over
-    S(Delta) is at most 2*c_n^2*(wc/e + 2T); alpha cancels and
-    coth(1/2T) >= 1.  Past N the ratio of consecutive bounds is at most
-    r = ((x/2)/(N+2))^2, so for r < 1 the tail is at most
-    2*(wc/e + 2T)*c_{N+1}^2/(1 - r).  The grid's largest x and largest
-    wc/e + 2T bound every point.
-    The test c < sqrt(_TAIL_TOL*(1 - r)/(2*(wc/e + 2T))) takes both sides
-    times 2^k and quarter = wc/4e + T/2 for (wc/e + 2T)/4, both exact:
-    2T overflows from T ~ 9e307, and 4^k ~ quarter keeps the quotient
-    from underflowing, as it does from wc/e + 2T ~ 1e291.
+    For k > x the ratios r_k = J_k/J_{k-1} = x/(2k - x*r_{k+1}) of
+    _bessel_table (A&S 9.1.27) lie in (0, x/(2k - x)), so r_k < f_k =
+    x/(2k - x^2/(2k + 2 - x)).  |J_m| <= 1 at m = floor(x) (A&S 9.1.60)
+    gives |J_N| <= c_N = f_{m+1}*...*f_N, and sum_{n>N} J_n^2 <=
+    (c_N*q)^2/(1 - q^2) with q = x/(2N + 2 - x) < 1.  A term's weight
+    2*S(w)*e^(-w/wc)/S(Delta) is at most 2*(wc/e + 1), free of T, since
+    w*coth(w/2T) <= w + 2T and coth(1/2T) >= max(1, 2T).  f_k, q and c_N
+    grow with x, and a product started at a larger floor(x) drops factors
+    below 1, so the grid's largest x and wc bound every point.  Every
+    factor of the test is a normal double for any finite wc.  Raises
+    ValueError for x beyond bessel_j's range.
     """
-    half_x = 0.5 * float(np.max(x))
-    quarter = float(np.max(np.divide(bath.omega_c, 4.0 * math.e)
-                           + 0.5 * np.asarray(bath.temperature)))
-    k = max(0, math.frexp(quarter)[1] // 2)
-    lift, lift2 = 2.0 ** k, 2.0 ** (2 * k - 3)  # 2^k, and 4^k/8
-    c = half_x                                  # c_{N+1} for N = 0
-    for n in range(_MAX_HARMONICS + 1):
-        q = half_x / (n + 2)                    # q^2 = r
-        # c < sqrt(...), not c^2 < ...: c^2 overflows for x above about 700
-        if q < 1.0 and c * lift < math.sqrt(
-                _TAIL_TOL * (1.0 - q * q) * lift2 / quarter):
-            return n
-        c *= q
-    raise ValueError(
-        f"x = 2A/Omega = {2.0 * half_x:g} needs more than {_MAX_HARMONICS} "
-        f"harmonics for the DD sum to reach its tolerance {_TAIL_TOL:g}")
+    x = float(np.max(x))
+    if x > _MAX_BESSEL_X:
+        raise ValueError(f"x = 2A/Omega = {x:g} exceeds {_MAX_BESSEL_X:g}")
+    limit = math.sqrt(_TAIL_TOL) / math.sqrt(
+        2.0 * (float(np.max(bath.omega_c)) / math.e + 1.0))
+    n, c = math.floor(x), 1.0                   # c_m = 1 bounds |J_m|
+    q = x / (2.0 * n + 2.0 - x)
+    while c * q >= limit * math.sqrt(1.0 - q * q):
+        n += 1
+        q = x / (2.0 * n + 2.0 - x)
+        c *= x / (2.0 * n - x * q)              # f_n
+    return n
 
 
 def dd_harmonic_sum(drive: Drive, bath: BathSpec):
@@ -197,17 +193,21 @@ def dd_harmonic_sum(drive: Drive, bath: BathSpec):
 
     summed over n = 1..N, with N chosen from the inputs so that the dropped
     tail is below 1e-16 * S(Delta) at every point (see _harmonic_count).
-    Raises ValueError where that needs more than 1024 harmonics (x beyond
-    about 740) instead of truncating.  The cutoff is attached only to the
+    Raises ValueError for x beyond 1e5, or for more than 2**24 terms over
+    the grid, instead of truncating.  The cutoff is attached only to the
     harmonic terms, matching the closed-form driven rate.  Array drive and
     bath parameters give one point per broadcast element; the harmonics
     run along a leading axis, so every Bessel factor comes from one call.
     """
     x = drive.amp_ratio
-    ndim = max(map(np.ndim, (x, drive.omega, bath.alpha, bath.omega_c,
-                             bath.temperature)))
-    n = np.arange(_harmonic_count(x, bath) + 1)
-    n = n.reshape((-1,) + (1,) * ndim)
+    shape = np.broadcast_shapes(*map(np.shape, (
+        x, drive.omega, bath.alpha, bath.omega_c, bath.temperature)))
+    count = _harmonic_count(x, bath)
+    if (count + 1) * math.prod(shape) > _MAX_TERMS:
+        raise ValueError(f"x = 2A/Omega = {np.max(x):g} needs {count} "
+                         f"harmonics at each of {math.prod(shape)} points, "
+                         f"more than {_MAX_TERMS} terms in all")
+    n = np.arange(count + 1).reshape((-1,) + (1,) * len(shape))
     j2 = bessel_j(n, x) ** 2
     # a harmonic whose cutoff factor is 0 adds 0, also where n*Omega
     # overflows to inf (Omega near 1e308) and S(inf)*0 would be nan

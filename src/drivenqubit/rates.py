@@ -73,9 +73,8 @@ def rate_dd(drive: Drive, bath: BathSpec) -> float:
 
     which is the sigma_x weight of the time-averaged coupling operator
     Q (dd_harmonic_sum gives that of 2Q).  The series is summed until the
-    dropped tail is below 1e-16 * S(Delta); where that needs more than
-    1024 harmonics (x beyond about 740) it raises ValueError rather than
-    return a truncated sum.
+    dropped tail is below 1e-16 * S(Delta); for x beyond 1e5, or more than
+    2**24 terms over the grid, it raises ValueError rather than truncate.
     """
     _require_kind(drive, DD)
     return 0.5 * dd_harmonic_sum(drive, bath)

@@ -59,6 +59,32 @@ def rate_dd_series(x, omega, alpha, omega_c, temperature):
         return float(total / 2)
 
 
+def dd_tail_series(x, n_from, omega, omega_c, temperature):
+    """sum_{n >= n_from} 2*J_n(x)^2*S(n*Omega)*e^(-n*Omega/wc) / S(Delta):
+    the DD terms dropped by a sum that stops at n_from - 1, over S(Delta),
+    in 30-digit mpmath with S(w) = w*coth(w/2T) (alpha cancels; coth is 1
+    at T = 0).  Terms are added until, past n = x, one falls below 1e-40:
+    there J_n(x) has no zero (its first lies above n) and falls faster
+    than geometrically, so the rest is smaller still.
+    """
+    with mp.workdps(30):
+        x, omega, omega_c = mp.mpf(x), mp.mpf(omega), mp.mpf(omega_c)
+
+        def spectrum(w):
+            if temperature == 0:
+                return w
+            return w * mp.coth(w / (2 * mp.mpf(temperature)))
+
+        total, n = mp.mpf(0), n_from
+        while True:
+            term = (2 * mp.besselj(n, x) ** 2 * spectrum(n * omega)
+                    * mp.exp(-n * omega / omega_c) / spectrum(mp.mpf(1)))
+            total += term
+            if n > x and term < mp.mpf(1e-40):
+                return float(total)
+            n += 1
+
+
 def bloch_reference(kind, amp_ratio, omega, gamma, alpha, s0, times, tol,
                     delta=1.0):
     """Bloch trajectory by one adaptive DOP853 run over every drive cycle.

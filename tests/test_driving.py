@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -9,7 +10,7 @@ from drivenqubit import (BathSpec, Drive, RegimeWarning, bessel_j, driving,
                          effective_rate, effective_splitting,
                          numeric_q_oracle, rate_static)
 
-from _oracles import bessel_series, rate_dd_series
+from _oracles import bessel_series, dd_tail_series, rate_dd_series
 
 J0_FIRST_ZERO = 2.404825557695773
 J1_FIRST_ZERO = 3.831705970207512
@@ -68,13 +69,21 @@ class TestBesselJ:
                     bessel_series(n, x), rel=1e-12, abs=1e-14)
 
     HARD_X = [0.0, 1e-300, 1e-8, J0_FIRST_ZERO, J1_FIRST_ZERO, 50.0, 300.0,
-              740.0]
+              740.0, 2000.0]
 
     @pytest.mark.parametrize("x", HARD_X)
     def test_against_mpmath(self, x):
         # every order up to 1024 for small x; mpmath is slow at large x
-        # and order below x, so there every order to 64, then every 4th
-        n = np.arange(1025) if x <= 50.0 else np.r_[0:65, 68:1025:4, 1024]
+        # and order below x, so there every order to 64, then every 4th.
+        # The DD sum at x = 2000 reads orders up to 2158: every 10th
+        # across the transition at n = x, where J_n(x) leaves its
+        # oscillating range
+        if x <= 50.0:
+            n = np.arange(1025)
+        elif x <= 1024.0:
+            n = np.r_[0:65, 68:1025:4, 1024]
+        else:
+            n = np.r_[0, 1, 1000, 1800:2301:10]
         want = np.array([float(mp.besselj(int(k), x)) for k in n])
         assert np.max(np.abs(bessel_j(n, x) - want)) <= 1e-15
 
@@ -154,6 +163,28 @@ class TestEffectiveCouplings:
                 q = effective_rate(bath, Drive(kind, x, 1000.0))
                 assert np.isrealobj(q)
                 assert q >= 0.0
+
+
+class TestHarmonicCount:
+
+    @pytest.mark.parametrize("omega_c", [500.0, 1e308])
+    @pytest.mark.parametrize("x", [0.0, 0.5, 2.4, J1_FIRST_ZERO, 50.0, 169.0,
+                                   700.0])
+    def test_dropped_tail_is_below_tolerance(self, x, omega_c):
+        temperatures = (0.0, 1.0, 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RegimeWarning)
+            baths = [make_bath(omega_c=omega_c, temperature=t)
+                     for t in temperatures]
+        # the bound on each term's spectral weight holds for every T
+        counts = {driving._harmonic_count(x, bath) for bath in baths}
+        assert len(counts) == 1
+        n = counts.pop()
+        # Omega = wc/(N+1) puts the first dropped harmonic at the peak of
+        # w*e^(-w/wc), the largest weight any Omega gives it
+        for t in temperatures:
+            assert dd_tail_series(x, n + 1, omega_c / (n + 1), omega_c,
+                                  t) < 1e-16
 
 
 class TestJacobiAnger:

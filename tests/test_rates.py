@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -127,9 +128,10 @@ class TestRateDd:
         got = rate_dd(Drive("dd", x, omega), bath)
         assert got == pytest.approx(expected, rel=1e-12)
 
-    @pytest.mark.parametrize("x", [80.0, 100.0, 200.0, 300.0])
+    @pytest.mark.parametrize("x", [80.0, 100.0, 200.0, 300.0, 800.0])
     def test_large_x_sums_every_harmonic_that_counts(self, x):
-        # a fixed block of 64 harmonics came out 42-68% low at x = 80-200
+        # a fixed block of 64 harmonics came out 42-68% low at x = 80-200;
+        # x = 800 takes 903 harmonics and Bessel orders past x
         d = Drive("dd", x, 10.0)
         assert rate_dd(d, make_bath()) == pytest.approx(
             rate_dd_series(x, 10.0, 0.01, 500.0, 1.0), rel=1e-12)
@@ -144,11 +146,29 @@ class TestRateDd:
             pytest.approx(rate_dd_series(x, omega, 0.01, 500.0, temperature),
                           rel=1e-12)
 
-    @pytest.mark.parametrize("x, shown", [(800.0, "800"), (1e300, "1e+300")])
+    @pytest.mark.parametrize("x, shown", [(2e5, "200000"),
+                                          (1e300, "1e+300")])
     def test_refuses_x_beyond_the_harmonic_limit(self, x, shown):
+        # beyond the x that bessel_j takes, before the count's loop starts
         message = re.escape(f"x = 2A/Omega = {shown} ")
         with pytest.raises(ValueError, match=message):
             rate_dd(Drive("dd", x, 10.0), make_bath())
+
+    def test_refuses_a_grid_beyond_the_term_limit_before_any_work(self):
+        # 101,083 harmonics at each of 200 points would be 2.0e7 doubles
+        # per array, past 2**24; one point at the same x sums
+        omegas = np.geomspace(10.0, 1.0e4, 200)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=re.escape(
+                    "x = 2A/Omega = 100000 needs 101082 harmonics at each "
+                    "of 200 points")):
+                rate_dd(Drive("dd", 1e5, omegas), make_bath())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert 0.0 < rate_dd(Drive("dd", 1e5, 10.0), make_bath()) < math.inf
 
     def test_harmonics_past_the_largest_double_add_zero(self):
         # n*Omega overflows for n >= 2; each harmonic's cutoff factor is 0,
@@ -164,9 +184,9 @@ class TestRateDd:
         (500.0, 2e307), (500.0, 1e308), (6e307, 1.0), (1e308, 1.0)])
     def test_huge_temperature_or_cutoff_sums_to_the_oracle(self, omega_c,
                                                            temperature):
-        # 2T overflows from T ~ 9e307, and the harmonic count's tail
-        # quotient underflows from wc/e + 2T ~ 1e291: neither may refuse
-        # x = 2.4 as needing more than 1024 harmonics
+        # 2T overflows from T ~ 9e307, and 1e-16/(2*wc/e) underflows from
+        # wc ~ 6e291: the harmonic count's test, which holds T out and
+        # takes its factors one by one, must meet neither
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RegimeWarning)
             bath = make_bath(omega_c=omega_c, temperature=temperature)
