@@ -2,7 +2,9 @@
 
 Natural units hbar = k_B = 1 with the static qubit splitting Delta as the
 frequency unit.  Temperatures are therefore dimensionless (T = 1 means
-k_B T = hbar*Delta) and beta = 1/T.
+k_B T = hbar*Delta) and beta = 1/T.  alpha is a factor of S(w) and of
+nothing else: rates take it once, in Gamma = S(Delta)/2, and the rest as
+the alpha-free ratio rho(w) = S(w)/S(Delta).
 
 BathSpec parameters and the frequencies given to power_spectrum may be
 numpy arrays of parameter points; they broadcast like numpy operands.
@@ -98,13 +100,35 @@ def power_spectrum(bath: BathSpec, omega):
     omega = np.asarray(omega, dtype=float)
     if np.any(omega < 0.0):
         raise ValueError("power spectrum is evaluated at omega >= 0")
-    scale = 2.0 * math.pi * bath.alpha
+    return _scaled_spectrum(bath, omega, 2.0 * math.pi)
+
+
+def _scaled_spectrum(bath: BathSpec, omega: np.ndarray, factor: float):
+    """factor*alpha*w*coth(w/2T) with S's limits: S at 2*pi; at pi, S/2
+    with S's bits halved, but finite up to the largest double."""
     # T = 0, or a T so small that w/2T overflows, gives x = inf and
     # coth = 1; an inf or nan coth (x = 0, 1/x past the largest double,
     # or w = T = 0) takes the w -> 0 limit, which is 0 at T = 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        scale = factor * bath.alpha
         x = 0.5 * omega / bath.temperature
         # series branch avoids 1/tanh blowup near x = 0
         coth = np.where(x < 1e-6, 1.0 / x + x / 3.0, 1.0 / np.tanh(x))
         return np.where(np.isfinite(coth), scale * omega * coth,
                         2.0 * scale * bath.temperature)[()]
+
+
+def _spectrum_ratio(bath: BathSpec, omega):
+    """rho(w) = S(w)/S(Delta) = w*tanh(h)/tanh(w*h) with h = 1/2T.
+
+    rho = w at T = 0 and rho(Delta) = 1.  Where the quotient is not finite
+    (w*h is 0 or nan) it takes its w -> 0 limit 2T*tanh(h): tanh(h)/h while
+    h is finite (2T overflows at T = 1e308), 2T where h is inf (T = 0 or
+    subnormal).  A tiny h has tanh(h) = h, so w*tanh(h) and w*h round alike.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        h = np.divide(0.5, bath.temperature)
+        tanh_h = np.tanh(h)
+        rho = omega * tanh_h / np.tanh(omega * h)
+        limit = np.where(h < np.inf, tanh_h / h, 2.0 * bath.temperature)
+        return np.where(np.isfinite(rho), rho, limit)[()]

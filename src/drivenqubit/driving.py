@@ -22,7 +22,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bath import BathSpec, _check_range, _warn_points, power_spectrum
+from .bath import (BathSpec, _check_range, _spectrum_ratio, _warn_points,
+                   power_spectrum)
 
 NONE, CDT, DD = "none", "cdt", "dd"
 _KINDS = (NONE, CDT, DD)
@@ -151,14 +152,14 @@ def effective_splitting(drive: Drive) -> float:
     return 1.0
 
 
-# The DD series is summed to a tail below _TAIL_TOL * S(Delta); a sum of
+# The DD series Gamma_DD/Gamma is summed to a tail below _TAIL_TOL; a sum of
 # more than _MAX_TERMS terms (128 MiB per array) is refused, not truncated.
 _TAIL_TOL = 1e-16
 _MAX_TERMS = 2 ** 24
 
 
 def _harmonic_count(x, bath: BathSpec) -> int:
-    """Smallest N whose dropped DD tail sum_{n>N} is below _TAIL_TOL*S(Delta).
+    """Smallest N whose dropped tail of Gamma_DD/Gamma is below _TAIL_TOL.
 
     For k > x the ratios r_k = J_k/J_{k-1} = x/(2k - x*r_{k+1}) of
     _bessel_table (A&S 9.1.27) lie in (0, x/(2k - x)), so r_k < f_k =
@@ -187,17 +188,16 @@ def _harmonic_count(x, bath: BathSpec) -> int:
 
 
 def dd_harmonic_sum(drive: Drive, bath: BathSpec):
-    """sigma_x weight of 2*Q_DD, i.e.
+    """Gamma_DD/Gamma = J0(x)^2 + 2*sum_n J_n(x)^2*rho(n*Omega)*e^(-n*Omega/wc)
 
-        J0(x)^2 * S(Delta) + 2 * sum_n J_n(x)^2 * S(n*Omega) * e^(-n*Omega/wc)
-
-    summed over n = 1..N, with N chosen from the inputs so that the dropped
-    tail is below 1e-16 * S(Delta) at every point (see _harmonic_count).
-    Raises ValueError for x beyond 1e5, or for more than 2**24 terms over
-    the grid, instead of truncating.  The cutoff is attached only to the
-    harmonic terms, matching the closed-form driven rate.  Array drive and
-    bath parameters give one point per broadcast element; the harmonics
-    run along a leading axis, so every Bessel factor comes from one call.
+    with rho(w) = S(w)/S(Delta), free of alpha, summed over n = 1..N, with
+    N chosen from the inputs so that the dropped tail is below 1e-16 at
+    every point (see _harmonic_count).  Raises ValueError for x beyond 1e5,
+    or for more than 2**24 terms over the grid, instead of truncating.  The
+    cutoff is attached only to the harmonic terms, matching the closed-form
+    driven rate.  Array drive and bath parameters give one point per
+    broadcast element (alpha aside); the harmonics run along a leading
+    axis, so every Bessel factor comes from one call.
     """
     x = drive.amp_ratio
     shape = np.broadcast_shapes(*map(np.shape, (
@@ -210,14 +210,13 @@ def dd_harmonic_sum(drive: Drive, bath: BathSpec):
     n = np.arange(count + 1).reshape((-1,) + (1,) * len(shape))
     j2 = bessel_j(n, x) ** 2
     # a harmonic whose cutoff factor is 0 adds 0, also where n*Omega
-    # overflows to inf (Omega near 1e308) and S(inf)*0 would be nan
+    # overflows to inf (Omega near 1e308) and rho(inf)*0 would be nan
     with np.errstate(over="ignore", invalid="ignore"):
         w = n[1:] * drive.omega
         cutoff = np.exp(-w / bath.omega_c)
         harmonics = np.where(cutoff == 0.0, 0.0,
-                             j2[1:] * power_spectrum(bath, w) * cutoff)
-    return (j2[0] * power_spectrum(bath, 1.0)
-            + 2.0 * harmonics.sum(axis=0))[()]
+                             j2[1:] * _spectrum_ratio(bath, w) * cutoff)
+    return (j2[0] + 2.0 * harmonics.sum(axis=0))[()]
 
 
 # Pauli matrices in the computational (sigma_z) basis

@@ -1,28 +1,28 @@
 """Closed-form relaxation/decoherence rates and coherence measures.
 
-All rates are in units of Delta.  effective_rate is the one dispatch on
-the drive kind: Gamma undriven, the CDT or DD closed form driven.  It is
+All rates are in units of Delta.  effective_rate is Gamma = S(Delta)/2
+times one alpha-free ratio for any drive kind, so alpha enters each rate
+once, and eta = Gamma/(4*Gamma_eff) is 1/4 over that ratio.  Gamma_eff is
 also the one weight of the time-averaged coupling Q = Gamma_eff*sigma_x.
-The stabilization factor eta is built from it, so it takes either kind.
 The trace of the Bloch decay matrix, gamma = 2*Gamma_eff, bounds every
 decoherence rate from above, and Gamma_av = gamma/3 is the entropy
 production averaged over pure states.
 
 Every function here also accepts drive and bath parameters that are numpy
 arrays of parameter points and then returns an array of the broadcast
-shape; the DD rate and eta of a whole grid come from one harmonic sum.
+shape of the parameters it depends on (eta: all but alpha); the DD rate
+and eta of a whole grid come from one harmonic sum.
 """
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import BathSpec, RegimeWarning, power_spectrum
-from .driving import (CDT, DD, NONE, Drive, dd_harmonic_sum,
-                      effective_splitting)
+from .bath import BathSpec, _scaled_spectrum, _spectrum_ratio
+from .driving import CDT, DD, NONE, Drive, dd_harmonic_sum, effective_splitting
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,7 @@ class RateReport:
     """Summary of the dissipative dynamics at one parameter point.
 
     Array bath or drive parameters give array fields of their broadcast
-    shape, one entry per point.
+    shape, one entry per point (eta's shape leaves alpha out).
     """
 
     drive_kind: str
@@ -51,7 +51,7 @@ def rate_static(bath: BathSpec) -> float:
 
     Gamma = pi*alpha*Delta*coth(Delta/2T), with Delta = 1.
     """
-    return 0.5 * power_spectrum(bath, 1.0)
+    return _scaled_spectrum(bath, np.float64(1.0), math.pi)
 
 
 def rate_cdt(drive: Drive, bath: BathSpec) -> float:
@@ -61,7 +61,7 @@ def rate_cdt(drive: Drive, bath: BathSpec) -> float:
     T = 0).  Even in Delta_eff, so it is continuous across Bessel zeros.
     """
     _require_kind(drive, CDT)
-    return 0.5 * power_spectrum(bath, abs(effective_splitting(drive)))
+    return effective_rate(bath, drive)
 
 
 def rate_dd(drive: Drive, bath: BathSpec) -> float:
@@ -72,20 +72,34 @@ def rate_dd(drive: Drive, bath: BathSpec) -> float:
                * exp(-n*Omega/omega_c) * J_n(x)^2 }
 
     which is the sigma_x weight of the time-averaged coupling operator
-    Q (dd_harmonic_sum gives that of 2Q).  The series is summed until the
-    dropped tail is below 1e-16 * S(Delta); for x beyond 1e5, or more than
-    2**24 terms over the grid, it raises ValueError rather than truncate.
+    Q.  The braces, free of alpha, are dd_harmonic_sum: summed until the
+    dropped tail is below 1e-16; for x beyond 1e5, or more than 2**24
+    terms over the grid, it raises ValueError rather than truncate.
     """
     _require_kind(drive, DD)
-    return 0.5 * dd_harmonic_sum(drive, bath)
+    return effective_rate(bath, drive)
 
 
 def trace_bound(rate_eff: float) -> tuple[float, float]:
-    """(gamma, Gamma_av) = (2*Gamma_eff, 2*Gamma_eff/3)."""
+    """(gamma, Gamma_av) = (2*Gamma_eff, 2*Gamma_eff/3), inf past a double."""
     if np.any(np.less(rate_eff, 0.0)):
         raise ValueError("rates are non-negative")
-    gamma = 2.0 * rate_eff
+    with np.errstate(over="ignore"):
+        gamma = 2.0 * rate_eff
     return gamma, gamma / 3.0
+
+
+def _rate_ratio(bath: BathSpec, drive: Drive):
+    """Gamma_eff/Gamma, free of alpha: the one dispatch on drive.kind."""
+    if drive.kind == DD:
+        return dd_harmonic_sum(drive, bath)
+    return _spectrum_ratio(bath, abs(effective_splitting(drive)))
+
+
+def _times_gamma(bath: BathSpec, ratio):
+    """Gamma*ratio: inf, without a warning, only where it exceeds a double."""
+    with np.errstate(over="ignore"):
+        return (rate_static(bath) * ratio)[()]
 
 
 def stabilization_eta(bath: BathSpec, drive: Drive) -> float:
@@ -95,59 +109,35 @@ def stabilization_eta(bath: BathSpec, drive: Drive) -> float:
     with it, gamma_driven = 2*Gamma_eff, for either drive kind (for DD
     the paper's eta, for CDT its analogue).  eta > 1 guarantees
     improvement for any initial state; eta > 1/4 improvement on average
-    (eta = 1/4 exactly without a drive or at x = 0).  Both rates are
-    proportional to alpha, so eta does not depend on it: at zero coupling,
-    and where a rate overflows, it is the eta of any alpha > 0.
+    (eta = 1/4 exactly without a drive or at x = 0).  Gamma_eff is Gamma
+    times a ratio free of alpha, so eta = 1/(4*ratio): alpha cancels, and
+    eta is finite at zero coupling and where a rate overflows.
     """
-    return _eta(bath, drive, effective_rate(bath, drive))
-
-
-def _eta(bath: BathSpec, drive: Drive, rate_driven):
-    """(Gamma/2)/(2*rate_driven) at any finite alpha.  Where rate_driven
-    is 0 (alpha = 0) or a rate overflows (from alpha ~ 5e304), both rates
-    come from alpha = 2^-64, without the RegimeWarnings that bath has
-    raised for those points already.  A power of two scales the rates
-    exactly, so eta has the bits of alpha = 1, whose rates overflow from
-    T ~ 1.4e307."""
-    rate_undriven = rate_static(bath)
-    # rate_undriven is never nan, and nan fails both tests
-    unit = ~((0.0 < rate_driven)
-             & (np.maximum(rate_driven, rate_undriven) < np.inf))
-    if unit.any():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RegimeWarning)
-            unit_bath = BathSpec(np.where(unit, 2.0 ** -64, bath.alpha),
-                                 bath.omega_c, bath.temperature)
-        rate_undriven = np.where(unit, rate_static(unit_bath), rate_undriven)
-        rate_driven = np.where(unit, effective_rate(unit_bath, drive),
-                               rate_driven)
-    return (0.5 * rate_undriven / (2.0 * rate_driven))[()]
+    return (0.25 / _rate_ratio(bath, drive))[()]
 
 
 def effective_rate(bath: BathSpec, drive: Drive) -> float:
-    """Gamma_eff for any drive kind: the one dispatch on drive.kind.
+    """Gamma_eff for any drive kind: Gamma times an alpha-free ratio.
 
     It is also the sigma_x weight of the time-averaged coupling operator
     Q = Gamma_eff * sigma_x: S(|Delta_eff|)/2 for CDT (|Delta_eff|
     because the power spectrum is even and J0 may be negative), the
-    harmonic sum of rate_dd for DD and S(Delta)/2 undriven.
+    harmonic sum of rate_dd for DD and S(Delta)/2 undriven, each Gamma
+    times a ratio (_rate_ratio), inf only where it exceeds a double.
     numeric_q_oracle computes the same weight by brute force.
     """
-    if drive.kind == NONE:
-        return rate_static(bath)
-    if drive.kind == CDT:
-        return rate_cdt(drive, bath)
-    return rate_dd(drive, bath)
+    return _times_gamma(bath, _rate_ratio(bath, drive))
 
 
 def build_report(bath: BathSpec, drive: Drive) -> RateReport:
     """Assemble the full bundle for one parameter point or one grid.
 
-    eta is (Gamma/2)/(2*Gamma_eff) from the Gamma_eff already computed,
-    so a DD grid costs one harmonic sum; it is None without a drive.
+    Gamma_eff and eta come from one alpha-free ratio, so a DD grid costs
+    one harmonic sum; eta is None without a drive.
     """
-    gamma_eff = effective_rate(bath, drive)
+    ratio = _rate_ratio(bath, drive)
+    gamma_eff = _times_gamma(bath, ratio)
     gamma, gamma_avg = trace_bound(gamma_eff)
-    eta = None if drive.kind == NONE else _eta(bath, drive, gamma_eff)
+    eta = None if drive.kind == NONE else (0.25 / ratio)[()]
     return RateReport(drive.kind, effective_splitting(drive), gamma_eff,
                       gamma, gamma_avg, eta)

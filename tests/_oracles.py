@@ -37,6 +37,25 @@ def coth_exp(x):
     return (math.exp(x) + math.exp(-x)) / (math.exp(x) - math.exp(-x))
 
 
+def spectrum_ratio_mp(omega, temperature):
+    """S(w)/S(Delta) = w*coth(w/2T)/coth(1/2T) in 50-digit mpmath, from the
+    exact value of each double argument: w at T = 0, and the w -> 0 limit
+    2T*tanh(1/2T) at w = 0.  coth is written through expm1, exact also
+    where w/T is far below the working precision (T = 1e308)."""
+    with mp.workdps(50):
+        w, t = mp.mpf(omega), mp.mpf(temperature)
+        if t == 0:
+            return w
+
+        def w_coth(v):          # v*coth(v/2T), 2T at v = 0
+            if v == 0:
+                return 2 * t
+            m = mp.expm1(-v / t)
+            return v * (2 + m) / -m
+
+        return w_coth(w) / w_coth(mp.mpf(1))
+
+
 def rate_dd_series(x, omega, alpha, omega_c, temperature):
     """Gamma_DD = S(Delta)/2 * J0^2 + sum_n J_n^2 S(n*Omega) e^(-n*Omega/wc),
     summed term by term in 30-digit mpmath with S(w) = 2*pi*alpha*w*coth(w/2T)

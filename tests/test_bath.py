@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from drivenqubit import BathSpec, RegimeWarning, power_spectrum
+from drivenqubit.bath import _spectrum_ratio
 
-from _oracles import coth_exp
+from _oracles import coth_exp, spectrum_ratio_mp
 
 
 def make_bath(alpha=0.01, omega_c=500.0, temperature=1.0):
@@ -123,3 +124,29 @@ class TestPowerSpectrum:
     def test_rejects_negative_frequency(self):
         with pytest.raises(ValueError):
             power_spectrum(make_bath(), -0.5)
+
+
+class TestSpectrumRatio:
+    """rho(w) = S(w)/S(Delta), the alpha-free shape every rate takes."""
+
+    TEMPERATURES = [0.0, 1e-320, 0.1, 1.0, 10.0, 1e307, 1e308]
+    OMEGAS = [0.0, 1e-300, 1e-16, 1e-6, 0.5, 1.0, 2.404825557695773, 100.0,
+              1e4, 1e300]
+
+    @pytest.mark.parametrize("temperature", TEMPERATURES)
+    def test_against_mpmath(self, temperature):
+        got = _spectrum_ratio(make_bath(temperature=temperature),
+                              np.array(self.OMEGAS))
+        want = np.array([float(spectrum_ratio_mp(w, temperature))
+                         for w in self.OMEGAS])
+        assert np.all(np.isfinite(got))
+        assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    def test_zero_frequency_at_a_subnormal_temperature_is_2t(self):
+        # 1/2T overflows there, and the w -> 0 limit 2T*tanh(1/2T) is 2T
+        bath = make_bath(temperature=1e-320)
+        assert _spectrum_ratio(bath, 0.0) == 2.0 * 1e-320
+
+    def test_one_at_the_qubit_splitting(self):
+        bath = make_bath(temperature=np.array(self.TEMPERATURES))
+        assert np.all(_spectrum_ratio(bath, 1.0) == 1.0)

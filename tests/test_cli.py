@@ -61,6 +61,24 @@ class TestRates:
         delta_eff = float(out.splitlines()[1].split(":")[1].split()[0])
         assert abs(delta_eff) < 1e-5
 
+    def test_cdt_j0_zero_at_the_largest_temperature(self, capsys):
+        # Gamma_CDT = S(0)/2 = 2*pi*alpha*T; 2T itself overflows a double
+        assert main(["rates", "--drive", "cdt", "--amp-ratio",
+                     "2.404825557695773", "--temperature", "1e308"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2] == "Gamma_eff    : 6.28318531e+306  [Delta]"
+        assert lines[-1] == "eta_cdt      : 2.50000000e-01"
+
+    def test_dd_rate_at_huge_coupling_is_finite(self, tmp_path):
+        out = tmp_path / "rates.csv"
+        assert main(["rates", "--drive", "dd", "--amp-ratio", "2.4",
+                     "--omega", "100", "--alpha", "5e304",
+                     "--out", str(out)]) == 0
+        _, header, rows = read_csv(out)
+        assert np.isfinite(rows).all()
+        assert rows[0][header.index("gamma_eff")] == pytest.approx(
+            1.70625817e307, rel=1e-8)
+
     def test_nan_parameter_is_usage_error(self, capsys):
         for argv, name in (
                 (["rates", "--alpha", "nan"], "alpha"),
@@ -279,6 +297,21 @@ class TestScan:
         assert len(messages) == 1
         assert "Omega >= 10" in messages[0]
         assert "(8 of 19 points)" in messages[0]
+
+    @pytest.mark.parametrize("drive", ["none", "dd"])
+    def test_alpha_scan_to_the_largest_double_is_quiet(self, tmp_path,
+                                                        drive):
+        # an alpha array once overflowed outside the spectrum's errstate;
+        # the only warning left is the weak-coupling one
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RegimeWarning)
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["scan", "--sweep", "alpha", "--min", "0", "--max",
+                         "1e308", "--points", "50", "--drive", drive,
+                         "--amp-ratio", "2.4", "--omega", "100",
+                         "--out", str(tmp_path / "alpha.csv")]) == 0
+        assert [(w.category, str(w.message)[:13]) for w in caught] == \
+            [(RegimeWarning, "weak-coupling")]
 
     def test_regime_warning_prints_its_message(self, tmp_path, capsys,
                                                monkeypatch):

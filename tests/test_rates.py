@@ -47,6 +47,20 @@ class TestRateStatic:
                 0.5 * power_spectrum(bath, 1.0), rel=1e-14)
 
 
+class TestHugeCoupling:
+
+    @pytest.mark.parametrize("drive", [
+        Drive(), Drive("cdt", 2.4, 100.0), Drive("dd", 2.4, 1.0e4)])
+    def test_finite_wherever_its_value_fits(self, drive):
+        # S(Delta) = 2*Gamma overflows from alpha ~ 1.3e307 at T = 1, and
+        # Gamma from ~2.6e307; a rate stays finite until its own value
+        # passes the largest double, as at alpha = 0.01 scaled up
+        unit = effective_rate(make_bath(), drive)
+        for alpha in (1.4e307, 2.4e307):
+            got = effective_rate(make_bath(alpha=alpha), drive)
+            assert got == pytest.approx(alpha * (unit / 0.01), rel=1e-14)
+
+
 class TestRateCdt:
 
     def test_undriven_amplitude(self):
@@ -195,6 +209,23 @@ class TestRateDd:
         assert rate_dd(d, bath) == pytest.approx(want, rel=1e-12)
         assert stabilization_eta(bath, d) == pytest.approx(
             0.25 * rate_static(bath) / want, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [5e304, 1e305, 1e306])
+    def test_huge_coupling_scales_a_rate_that_fits(self, alpha):
+        # alpha enters Gamma_DD once, as the factor Gamma, so no harmonic
+        # term overflows before its Bessel weight scales it down
+        d = Drive("dd", 2.4, 1.0e4)
+        got = rate_dd(d, make_bath(alpha=alpha))
+        assert np.isfinite(got)
+        assert got == pytest.approx(alpha / 0.01 * rate_dd(d, make_bath()),
+                                    rel=1e-14)
+
+    @pytest.mark.parametrize("omega", [100.0, 1.0e4])
+    def test_huge_coupling_sums_to_the_oracle(self, omega):
+        # 3.4e307 at omega = 100
+        got = rate_dd(Drive("dd", 2.4, omega), make_bath(alpha=1e305))
+        assert got == pytest.approx(
+            rate_dd_series(2.4, omega, 1e305, 500.0, 1.0), rel=1e-12)
 
     def test_harmonics_beyond_a_bessel_zero_count(self):
         # J1(x) = 0 here, so the n = 1 term vanishes; the n >= 2 terms
