@@ -10,8 +10,8 @@ J0(2A/Omega) at low temperature.
 
 import numpy as np
 
-from drivenqubit import (BathSpec, Drive, bessel_j, effective_splitting,
-                         evolve, rate_cdt, rate_static)
+from drivenqubit import (BathSpec, Drive, bessel_j, effective_rate,
+                         effective_splitting, evolve, rate_static)
 
 J0_FIRST_ZERO = 2.404825557695773
 OMEGA = 100.0
@@ -39,6 +39,6 @@ bath = BathSpec(0.01, 500.0, 0.01)
 gamma = rate_static(bath)
 for x in (0.5, 1.0, 2.0):
     drive = Drive("cdt", x, 1000.0)
-    ratio = rate_cdt(drive, bath) / gamma
+    ratio = effective_rate(bath, drive) / gamma
     print(f"  x = {x:3.1f}   Gamma_CDT/Gamma = {ratio:.5f}   "
           f"J0(x) = {bessel_j(0, x):.5f}")

@@ -18,8 +18,8 @@ from .dynamics import (DecaySpectrum, IntegrationDivergedError,
                        NoSteadyStateError, Trajectory,
                        average_entropy_production, decay_eigenvalues, evolve,
                        steady_state)
-from .rates import (RateReport, build_report, effective_rate, rate_cdt,
-                    rate_dd, rate_static, stabilization_eta, trace_bound)
+from .rates import (RateReport, build_report, effective_rate, rate_static,
+                    stabilization_eta, trace_bound)
 
 __all__ = [
     "BathSpec", "RegimeWarning", "power_spectrum",
@@ -29,5 +29,5 @@ __all__ = [
     "Trajectory", "average_entropy_production", "decay_eigenvalues",
     "evolve", "steady_state",
     "RateReport", "build_report", "effective_rate",
-    "rate_cdt", "rate_dd", "rate_static", "stabilization_eta", "trace_bound",
+    "rate_static", "stabilization_eta", "trace_bound",
 ]

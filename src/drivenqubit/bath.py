@@ -80,12 +80,6 @@ class BathSpec:
             "cutoff omega_c at or below the qubit splitting; the "
             "high-cutoff master equation assumes omega_c >> Delta", *params)
 
-    @property
-    def beta(self) -> float:
-        """Inverse temperature; inf at T = 0."""
-        with np.errstate(divide="ignore"):
-            return np.divide(1.0, self.temperature)[()]
-
 
 def power_spectrum(bath: BathSpec, omega):
     """Bath-fluctuation power spectrum S(w) = 2*pi*alpha*w*coth(w/2T).

@@ -201,7 +201,7 @@ def dd_harmonic_sum(drive: Drive, bath: BathSpec):
     """
     x = drive.amp_ratio
     shape = np.broadcast_shapes(*map(np.shape, (
-        x, drive.omega, bath.alpha, bath.omega_c, bath.temperature)))
+        x, drive.omega, bath.omega_c, bath.temperature)))
     count = _harmonic_count(x, bath)
     if (count + 1) * math.prod(shape) > _MAX_TERMS:
         raise ValueError(f"x = 2A/Omega = {np.max(x):g} needs {count} "

@@ -1,7 +1,8 @@
 """Closed-form relaxation/decoherence rates and coherence measures.
 
-All rates are in units of Delta.  effective_rate is Gamma = S(Delta)/2
-times one alpha-free ratio for any drive kind, so alpha enters each rate
+All rates are in units of Delta.  effective_rate is the one Gamma_eff
+function for every drive kind (Gamma_CDT, Gamma_DD, or Gamma undriven):
+Gamma = S(Delta)/2 times one alpha-free ratio, so alpha enters each rate
 once, and eta = Gamma/(4*Gamma_eff) is 1/4 over that ratio.  Gamma_eff is
 also the one weight of the time-averaged coupling Q = Gamma_eff*sigma_x.
 The trace of the Bloch decay matrix, gamma = 2*Gamma_eff, bounds every
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import BathSpec, _scaled_spectrum, _spectrum_ratio
-from .driving import CDT, DD, NONE, Drive, dd_harmonic_sum, effective_splitting
+from .driving import DD, NONE, Drive, dd_harmonic_sum, effective_splitting
 
 
 @dataclass(frozen=True)
@@ -41,11 +42,6 @@ class RateReport:
     eta: float | None = None   # stabilization factor; None undriven
 
 
-def _require_kind(drive: Drive, kind: str):
-    if drive.kind != kind:
-        raise ValueError(f"expected a {kind!r} drive, got {drive.kind!r}")
-
-
 def rate_static(bath: BathSpec) -> float:
     """Undriven relaxation rate Gamma = S(Delta)/2.
 
@@ -54,39 +50,18 @@ def rate_static(bath: BathSpec) -> float:
     return _scaled_spectrum(bath, np.float64(1.0), math.pi)
 
 
-def rate_cdt(drive: Drive, bath: BathSpec) -> float:
-    """Relaxation rate under the sigma_x drive, Gamma_CDT = S(|Delta_eff|)/2.
-
-    Finite limit 2*pi*alpha*T when Delta_eff sits at a J0 zero (zero at
-    T = 0).  Even in Delta_eff, so it is continuous across Bessel zeros.
-    """
-    _require_kind(drive, CDT)
-    return effective_rate(bath, drive)
-
-
-def rate_dd(drive: Drive, bath: BathSpec) -> float:
-    """Relaxation rate under the sigma_z drive.
-
-    Gamma_DD = Gamma * { J0(x)^2 + 2*sum_n (n*Omega/Delta)
-               * [tanh(Delta/2T)/tanh(n*Omega/2T)]
-               * exp(-n*Omega/omega_c) * J_n(x)^2 }
-
-    which is the sigma_x weight of the time-averaged coupling operator
-    Q.  The braces, free of alpha, are dd_harmonic_sum: summed until the
-    dropped tail is below 1e-16; for x beyond 1e5, or more than 2**24
-    terms over the grid, it raises ValueError rather than truncate.
-    """
-    _require_kind(drive, DD)
-    return effective_rate(bath, drive)
-
-
 def trace_bound(rate_eff: float) -> tuple[float, float]:
-    """(gamma, Gamma_av) = (2*Gamma_eff, 2*Gamma_eff/3), inf past a double."""
+    """(gamma, Gamma_av) = (2*Gamma_eff, 2*Gamma_eff/3), each inf only
+    past a double.
+
+    Gamma_av is Gamma_eff/1.5, the same bits as gamma/3 wherever gamma
+    is finite, and finite up to the largest Gamma_eff.
+    """
     if np.any(np.less(rate_eff, 0.0)):
         raise ValueError("rates are non-negative")
     with np.errstate(over="ignore"):
         gamma = 2.0 * rate_eff
-    return gamma, gamma / 3.0
+    return gamma, rate_eff / 1.5
 
 
 def _rate_ratio(bath: BathSpec, drive: Drive):
@@ -120,10 +95,21 @@ def effective_rate(bath: BathSpec, drive: Drive) -> float:
     """Gamma_eff for any drive kind: Gamma times an alpha-free ratio.
 
     It is also the sigma_x weight of the time-averaged coupling operator
-    Q = Gamma_eff * sigma_x: S(|Delta_eff|)/2 for CDT (|Delta_eff|
-    because the power spectrum is even and J0 may be negative), the
-    harmonic sum of rate_dd for DD and S(Delta)/2 undriven, each Gamma
-    times a ratio (_rate_ratio), inf only where it exceeds a double.
+    Q = Gamma_eff * sigma_x, and inf only where it exceeds a double.
+    The ratio (_rate_ratio) per drive kind:
+
+    none  S(Delta)/2 = Gamma.
+    cdt   Gamma_CDT = S(|Delta_eff|)/2, |Delta_eff| because the power
+          spectrum is even and J0 may be negative; so the rate is
+          continuous across Bessel zeros, with the finite limit
+          2*pi*alpha*T where Delta_eff sits at a J0 zero (0 at T = 0).
+    dd    Gamma_DD = Gamma * { J0(x)^2 + 2*sum_n (n*Omega/Delta)
+                     * [tanh(Delta/2T)/tanh(n*Omega/2T)]
+                     * exp(-n*Omega/omega_c) * J_n(x)^2 },
+          the braces being dd_harmonic_sum: summed until the dropped
+          tail is below 1e-16; for x beyond 1e5, or more than 2**24
+          terms over the grid, it raises ValueError rather than truncate.
+
     numeric_q_oracle computes the same weight by brute force.
     """
     return _times_gamma(bath, _rate_ratio(bath, drive))

@@ -37,12 +37,6 @@ class TestBathSpec:
             with pytest.raises(ValueError, match=name):
                 BathSpec(*params)
 
-    def test_beta_sentinel_at_zero_temperature(self):
-        assert BathSpec(0.01, 500.0, 0.0).beta == math.inf
-        assert BathSpec(0.01, 500.0, 2.0).beta == 0.5
-        betas = BathSpec(0.01, 500.0, np.array([0.0, 2.0])).beta
-        assert betas.tolist() == [math.inf, 0.5]
-
     def test_strong_coupling_warning(self):
         with pytest.warns(RegimeWarning):
             BathSpec(0.05, 500.0, 1.0)  # alpha*ln(500) ~ 0.31

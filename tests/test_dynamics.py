@@ -13,8 +13,8 @@ from drivenqubit import dynamics
 from drivenqubit import (BathSpec, Drive, IntegrationDivergedError,
                          NoSteadyStateError, RegimeWarning,
                          average_entropy_production,
-                         decay_eigenvalues, effective_rate, evolve, rate_cdt,
-                         rate_dd, rate_static, steady_state)
+                         decay_eigenvalues, effective_rate, evolve,
+                         rate_static, steady_state)
 
 J0_FIRST_ZERO = 2.404825557695773
 
@@ -48,7 +48,7 @@ class TestGenerator:
         d = Drive("cdt", 2.4, 100.0)
         t = 0.25 * d.period  # cos(Omega t) = 0
         m, _ = generator_at(bath, d, t)
-        gamma_cdt = rate_cdt(d, bath)
+        gamma_cdt = effective_rate(bath, d)
         assert np.allclose(m[:2, :2], [[0.0, -1.0], [1.0, gamma_cdt]],
                            atol=1e-12)
         assert np.allclose(np.diag(m), [0.0, gamma_cdt, gamma_cdt])
@@ -65,8 +65,8 @@ class TestGenerator:
         drives = [Drive(), Drive("cdt", 1.7, 120.0),
                   Drive("dd", 2.4, 250.0)]
         rates = [rate_static(bath),
-                 rate_cdt(drives[1], bath),
-                 rate_dd(drives[2], bath)]
+                 effective_rate(bath, drives[1]),
+                 effective_rate(bath, drives[2])]
         for drive, gamma_eff in zip(drives, rates):
             for t in np.linspace(0.0, 0.7, 11):
                 m, _ = generator_at(bath, drive, t)
@@ -381,7 +381,7 @@ class TestFloquetPropagator:
         with pytest.warns(RegimeWarning) as record:
             evolve(bath, d, (0.0, 0.0, 1.0), 1.0, 0.25)
         assert len(record) == 1
-        bound = ((1.0 + rate_cdt(d, bath) + omega) * np.finfo(float).eps
+        bound = ((1.0 + effective_rate(bath, d) + omega) * np.finfo(float).eps
                  * math.ceil(1.0 / d.period) * d.period)
         assert 2e-4 < bound < 3.0
         assert f"each sample is fixed only to {bound:.3e}, above tol = " \
@@ -399,7 +399,7 @@ class TestFloquetPropagator:
         # fixed point s_z = -pi*alpha*Delta/Gamma_DD far below -1
         bath = make_bath(temperature=0.1)
         d = Drive("dd", 2.4048, 5000.0)
-        s_z = -math.pi * bath.alpha / rate_dd(d, bath)
+        s_z = -math.pi * bath.alpha / effective_rate(bath, d)
         assert s_z == pytest.approx(-8.17, abs=0.01)
         with pytest.raises(IntegrationDivergedError) as info:
             evolve(bath, d, (0.0, 0.0, 0.0), 100.0, 0.1)
@@ -717,7 +717,7 @@ class TestAverageEntropyProduction:
         bath = make_bath()
         d = Drive("dd", 2.4, 1000.0)
         mean, sem = average_entropy_production(bath, d, 100_000, seed=12)
-        assert abs(mean - 2 * rate_dd(d, bath) / 3) <= 3 * sem
+        assert abs(mean - 2 * effective_rate(bath, d) / 3) <= 3 * sem
 
     def test_requires_enough_samples(self):
         with pytest.raises(ValueError):

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from drivenqubit import (BathSpec, Drive, RegimeWarning, bessel_j,
                          build_report, effective_rate, effective_splitting,
-                         power_spectrum, rate_cdt, rate_dd, rate_static,
-                         stabilization_eta, trace_bound)
+                         power_spectrum, rate_static, stabilization_eta,
+                         trace_bound)
 
 from _oracles import bessel_series, coth_exp, rate_dd_series
 
@@ -65,48 +65,44 @@ class TestRateCdt:
 
     def test_undriven_amplitude(self):
         bath = make_bath()
-        got = rate_cdt(Drive("cdt", 0.0, 100.0), bath)
+        got = effective_rate(bath, Drive("cdt", 0.0, 100.0))
         assert got == pytest.approx(rate_static(bath), rel=1e-15)
 
     def test_high_temperature_is_drive_independent(self):
         bath = make_bath(temperature=1e4)
         for x in (0.5, 1.5, 2.4):
-            got = rate_cdt(Drive("cdt", x, 1000.0), bath)
+            got = effective_rate(bath, Drive("cdt", x, 1000.0))
             assert 2 * got == pytest.approx(
                 4 * math.pi * bath.alpha * bath.temperature, rel=1e-2)
 
     def test_low_temperature_scales_with_j0(self):
         bath = make_bath(temperature=0.0)
-        got = rate_cdt(Drive("cdt", 1.0, 1000.0), bath)
+        got = effective_rate(bath, Drive("cdt", 1.0, 1000.0))
         assert got == pytest.approx(
             rate_static(bath) * bessel_series(0, 1.0), rel=1e-12)
 
     def test_finite_limit_at_j0_zero(self):
         d = Drive("cdt", J0_FIRST_ZERO, 1000.0)
         warm = make_bath(temperature=3.0)
-        assert rate_cdt(d, warm) == pytest.approx(
+        assert effective_rate(warm, d) == pytest.approx(
             2 * math.pi * warm.alpha * warm.temperature, rel=1e-4)
         cold = make_bath(temperature=0.0)
-        assert rate_cdt(d, cold) < 1e-6
+        assert effective_rate(cold, d) < 1e-6
 
     def test_continuous_across_bessel_zero(self):
         bath = make_bath(temperature=1.0)
         xs = np.linspace(J0_FIRST_ZERO - 0.05, J0_FIRST_ZERO + 0.05, 101)
-        vals = [rate_cdt(Drive("cdt", x, 1000.0), bath)
+        vals = [effective_rate(bath, Drive("cdt", x, 1000.0))
                 for x in xs]
         assert np.all(np.abs(np.diff(vals)) < 1e-3)
         assert np.all(np.asarray(vals) > 0.0)
-
-    def test_kind_mismatch(self):
-        with pytest.raises(ValueError):
-            rate_cdt(Drive("dd", 0.02, 100.0), make_bath())
 
 
 class TestRateDd:
 
     def test_undriven_amplitude(self):
         bath = make_bath()
-        assert rate_dd(Drive("dd", 0.0, 100.0), bath) == pytest.approx(
+        assert effective_rate(bath, Drive("dd", 0.0, 100.0)) == pytest.approx(
             rate_static(bath), rel=1e-15)
 
     def test_zero_temperature_harmonic_weights(self):
@@ -117,16 +113,8 @@ class TestRateDd:
             bessel_j(0, x) ** 2
             + 2 * sum(n * omega * math.exp(-n * omega / bath.omega_c)
                       * bessel_j(n, x) ** 2 for n in range(1, 41)))
-        got = rate_dd(Drive("dd", x, omega), bath)
+        got = effective_rate(bath, Drive("dd", x, omega))
         assert got == pytest.approx(expected, rel=1e-12)
-
-    def test_effective_rate_dispatches_dd_to_rate_dd(self):
-        # effective_rate, also the sigma_x weight of Q
-        bath = make_bath(temperature=10.0)
-        for x in (0.0, 1.2, 2.4):
-            d = Drive("dd", x, 1000.0)
-            assert effective_rate(bath, d) == pytest.approx(
-                rate_dd(d, bath), rel=1e-12)
 
     def test_closed_form_tanh_ratio(self):
         bath = make_bath(temperature=10.0)
@@ -139,7 +127,7 @@ class TestRateDd:
                       / math.tanh(0.5 * n * omega / bath.temperature)
                       * math.exp(-n * omega / bath.omega_c)
                       * bessel_j(n, x) ** 2 for n in range(1, 41)))
-        got = rate_dd(Drive("dd", x, omega), bath)
+        got = effective_rate(bath, Drive("dd", x, omega))
         assert got == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("x", [80.0, 100.0, 200.0, 300.0, 800.0])
@@ -147,7 +135,7 @@ class TestRateDd:
         # a fixed block of 64 harmonics came out 42-68% low at x = 80-200;
         # x = 800 takes 903 harmonics and Bessel orders past x
         d = Drive("dd", x, 10.0)
-        assert rate_dd(d, make_bath()) == pytest.approx(
+        assert effective_rate(make_bath(), d) == pytest.approx(
             rate_dd_series(x, 10.0, 0.01, 500.0, 1.0), rel=1e-12)
 
     @settings(max_examples=15, deadline=None, derandomize=True)
@@ -156,7 +144,7 @@ class TestRateDd:
     def test_matches_series_oracle(self, x, log_omega, temperature):
         omega = 10.0 ** log_omega
         d = Drive("dd", x, omega)
-        assert rate_dd(d, make_bath(temperature=temperature)) == \
+        assert effective_rate(make_bath(temperature=temperature), d) == \
             pytest.approx(rate_dd_series(x, omega, 0.01, 500.0, temperature),
                           rel=1e-12)
 
@@ -166,7 +154,7 @@ class TestRateDd:
         # beyond the x that bessel_j takes, before the count's loop starts
         message = re.escape(f"x = 2A/Omega = {shown} ")
         with pytest.raises(ValueError, match=message):
-            rate_dd(Drive("dd", x, 10.0), make_bath())
+            effective_rate(make_bath(), Drive("dd", x, 10.0))
 
     def test_refuses_a_grid_beyond_the_term_limit_before_any_work(self):
         # 101,083 harmonics at each of 200 points would be 2.0e7 doubles
@@ -177,12 +165,13 @@ class TestRateDd:
             with pytest.raises(ValueError, match=re.escape(
                     "x = 2A/Omega = 100000 needs 101082 harmonics at each "
                     "of 200 points")):
-                rate_dd(Drive("dd", 1e5, omegas), make_bath())
+                effective_rate(make_bath(), Drive("dd", 1e5, omegas))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-        assert 0.0 < rate_dd(Drive("dd", 1e5, 10.0), make_bath()) < math.inf
+        one_point = effective_rate(make_bath(), Drive("dd", 1e5, 10.0))
+        assert 0.0 < one_point < math.inf
 
     def test_harmonics_past_the_largest_double_add_zero(self):
         # n*Omega overflows for n >= 2; each harmonic's cutoff factor is 0,
@@ -191,7 +180,7 @@ class TestRateDd:
         omega = np.array([1.0e300, 1.0e308, np.finfo(float).max])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = rate_dd(Drive("dd", 1.0, omega), bath)
+            got = effective_rate(bath, Drive("dd", 1.0, omega))
         assert np.all(got == bessel_j(0, 1.0) ** 2 * rate_static(bath))
 
     @pytest.mark.parametrize("omega_c, temperature", [
@@ -206,7 +195,7 @@ class TestRateDd:
             bath = make_bath(omega_c=omega_c, temperature=temperature)
         d = Drive("dd", 2.4, 100.0)
         want = rate_dd_series(2.4, 100.0, 0.01, omega_c, temperature)
-        assert rate_dd(d, bath) == pytest.approx(want, rel=1e-12)
+        assert effective_rate(bath, d) == pytest.approx(want, rel=1e-12)
         assert stabilization_eta(bath, d) == pytest.approx(
             0.25 * rate_static(bath) / want, rel=1e-12)
 
@@ -215,15 +204,15 @@ class TestRateDd:
         # alpha enters Gamma_DD once, as the factor Gamma, so no harmonic
         # term overflows before its Bessel weight scales it down
         d = Drive("dd", 2.4, 1.0e4)
-        got = rate_dd(d, make_bath(alpha=alpha))
+        got = effective_rate(make_bath(alpha=alpha), d)
         assert np.isfinite(got)
-        assert got == pytest.approx(alpha / 0.01 * rate_dd(d, make_bath()),
-                                    rel=1e-14)
+        unit = effective_rate(make_bath(), d)
+        assert got == pytest.approx(alpha / 0.01 * unit, rel=1e-14)
 
     @pytest.mark.parametrize("omega", [100.0, 1.0e4])
     def test_huge_coupling_sums_to_the_oracle(self, omega):
         # 3.4e307 at omega = 100
-        got = rate_dd(Drive("dd", 2.4, omega), make_bath(alpha=1e305))
+        got = effective_rate(make_bath(alpha=1e305), Drive("dd", 2.4, omega))
         assert got == pytest.approx(
             rate_dd_series(2.4, omega, 1e305, 500.0, 1.0), rel=1e-12)
 
@@ -231,9 +220,32 @@ class TestRateDd:
         # J1(x) = 0 here, so the n = 1 term vanishes; the n >= 2 terms
         # still carry almost all of the rate
         d = Drive("dd", J1_FIRST_ZERO, 100.0)
-        assert rate_dd(d, make_bath()) == pytest.approx(
+        assert effective_rate(make_bath(), d) == pytest.approx(
             rate_dd_series(J1_FIRST_ZERO, 100.0, 0.01, 500.0, 1.0),
             rel=1e-12)
+
+    def test_alpha_points_do_not_count_toward_the_term_limit(self):
+        # the sum is free of alpha: 14 terms at each of 1.2M alpha points
+        # would pass 2**24, yet the grid sums once, at one point
+        d = Drive("dd", 2.4, 100.0)
+        alphas = np.linspace(0.0, 0.01, 1_200_000)
+        eta = stabilization_eta(BathSpec(alphas, 500.0, 1.0), d)
+        assert np.shape(eta) == ()
+        assert eta == stabilization_eta(make_bath(), d)
+        got = effective_rate(BathSpec(alphas, 500.0, 1.0), d)
+        unit = effective_rate(make_bath(alpha=1.0), d)
+        assert got.shape == alphas.shape
+        assert got[-1] == effective_rate(make_bath(), d)
+        assert np.allclose(got, alphas * unit, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("kind", ["dd", "cdt"])
+    def test_eta_shape_leaves_alpha_out(self, kind):
+        bath = BathSpec(np.linspace(0.0, 0.01, 5)[:, None], 500.0,
+                        np.array([0.1, 1.0, 10.0]))
+        d = Drive(kind, 2.4, 100.0)
+        assert stabilization_eta(bath, d).shape == (3,)
+        assert build_report(bath, d).eta.shape == (3,)
+        assert effective_rate(bath, d).shape == (5, 3)
 
 
 class TestTraceBound:
@@ -249,12 +261,29 @@ class TestTraceBound:
 
     def test_driven_rate_uses_same_formula(self):
         bath = make_bath()
-        gamma_rel = rate_dd(Drive("dd", 2.4, 1000.0), bath)
+        gamma_rel = effective_rate(bath, Drive("dd", 2.4, 1000.0))
         assert trace_bound(gamma_rel) == (2 * gamma_rel, 2 * gamma_rel / 3)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             trace_bound(-0.1)
+
+    def test_average_is_finite_where_gamma_overflows(self):
+        # Gamma_eff = 1.02e308 at alpha = 3e305: gamma = 2*Gamma_eff
+        # exceeds a double, Gamma_av = 2*Gamma_eff/3 does not
+        report = build_report(make_bath(alpha=3e305),
+                              Drive("dd", 2.4, 100.0))
+        assert report.gamma_trace == math.inf
+        assert f"{report.gamma_avg:.8e}" == "6.82503270e+307"
+        largest = np.finfo(float).max
+        assert trace_bound(largest) == (math.inf, largest / 1.5)
+
+    def test_average_has_the_bits_of_gamma_over_three(self):
+        rng = np.random.default_rng(33)
+        rates = 10.0 ** rng.uniform(-320.0, 307.9, 100_000)
+        gamma, gamma_avg = trace_bound(rates)
+        assert np.all(np.isfinite(gamma))
+        assert np.array_equal(gamma_avg, gamma / 3.0)
 
 
 class TestStabilizationEta:
